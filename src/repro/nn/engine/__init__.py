@@ -4,9 +4,9 @@
 passes; this package removes the remaining steady-state costs and then
 optimizes what is left.  Compilation is a three-phase pipeline:
 
-1. **lowering** (:mod:`~repro.nn.engine.ir`) — a one-time dry shape trace
-   turns the fused op list into a *plan-IR*: a typed step graph (op kind,
-   input/output values, weight references) in column-major
+1. **lowering** (:mod:`~repro.nn.engine.ir`) — a dry shape trace, once
+   per input geometry, turns the fused op list into a *plan-IR*: a typed
+   step graph (op kind, input/output values, weight references) in column-major
    ``(features..., batch)`` layout, where pointwise convolutions, linear
    layers and squeeze-excite gates are contiguous GEMMs and
    padded/strided/grouped convolutions are plan-time CSR matrices run
@@ -24,7 +24,9 @@ optimizes what is left.  Compilation is a three-phase pipeline:
    group-blocked CSR and a padded-slab stencil against per-plane CSR and
    keeps the measured winner (bit-identical results required), and *SpMM
    row blocking* partitions large CSR matrices into pre-packed, L2-sized
-   row blocks;
+   row blocks.  The first four run once on the :class:`PlanTemplate`
+   every batch size of a geometry shares; only the last two (and the
+   binding below) run per batch size;
 3. **binding** (:mod:`~repro.nn.engine.executor`) — liveness analysis on
    the *optimized* graph assigns every value to a
    :class:`BufferArena` block, so steady-state inference reuses a small
@@ -54,23 +56,20 @@ from .executor import (
     BufferArena,
     ExecutionPlan,
     PlanStats,
+    PlanTemplate,
     PlannedExecutor,
     plan_session,
 )
 from .ir import PlanIR, Step, Unplannable, estimate_step_cost, lower_session
-from .kernels import HAVE_SPARSE
 from .passes import L2_BUDGET_BYTES, run_passes
 from .quant import QuantizationError, QuantizedPlan
-
-# Backwards-compatible aliases (the pre-package module exposed these).
-_Unplannable = Unplannable
-_HAVE_SPARSE = HAVE_SPARSE
 
 __all__ = [
     "BufferArena",
     "ExecutionPlan",
     "PlanIR",
     "PlanStats",
+    "PlanTemplate",
     "PlannedExecutor",
     "Step",
     "Unplannable",

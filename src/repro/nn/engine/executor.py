@@ -3,8 +3,9 @@
 The binder walks the (optimized) step graph in order, resolves every
 value to a view over a :class:`BufferArena` block using liveness computed
 on the *rewritten* program, and compiles each step into a closure over
-those views.  :class:`ExecutionPlan` owns one bound program per batch
-shape; :class:`PlannedExecutor` caches plans per shape (bounded LRU) and
+those views.  A :class:`PlanTemplate` holds the batch-independent part
+(trace, lowering, shared passes); :class:`ExecutionPlan` binds a copy of
+it per batch shape; :class:`PlannedExecutor` caches both (bounded LRU) and
 shards batches across a persistent :class:`_WorkerPool` — or, with
 ``intra_op=True``, splits a single step's output rows across that same
 pool (the intra-op row-parallel hook).
@@ -12,6 +13,8 @@ pool (the intra-op row-parallel hook).
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import queue
 import threading
 from collections import OrderedDict
@@ -22,14 +25,15 @@ import numpy as np
 
 from ..fuse import InferenceSession
 from . import kernels
-from .ir import PlanIR, Step, Unplannable, estimate_step_cost, lower_session
+from .ir import PlanIR, Step, Unplannable, estimate_step_cost, lower_template
 from .kernels import apply_act, mean_weights, spmm, spmm_blocks
-from .passes import L2_BUDGET_BYTES, run_passes
+from .passes import L2_BUDGET_BYTES, run_batch_passes, run_shared_passes
 
 __all__ = [
     "BufferArena",
     "ExecutionPlan",
     "PlanStats",
+    "PlanTemplate",
     "PlannedExecutor",
     "plan_session",
 ]
@@ -62,7 +66,7 @@ class BufferArena:
         self.requested_bytes = 0
 
     def acquire(self, shape: Tuple[int, ...]) -> Tuple[int, np.ndarray]:
-        nelems = max(1, int(np.prod(shape)))
+        nelems = max(1, int(math.prod(shape)))
         self.requested_bytes += nelems * 4
         best = None
         for index, block in enumerate(self._blocks):
@@ -126,34 +130,13 @@ class PlanStats:
         return 1.0 - self.arena_bytes / self.requested_bytes
 
     def merged(self, other: "PlanStats") -> "PlanStats":
-        return PlanStats(
-            arena_bytes=self.arena_bytes + other.arena_bytes,
-            arena_blocks=self.arena_blocks + other.arena_blocks,
-            requested_bytes=self.requested_bytes + other.requested_bytes,
-            steady_state_allocs=self.steady_state_allocs + other.steady_state_allocs,
-            num_steps=self.num_steps + other.num_steps,
-            sparse_ops=self.sparse_ops + other.sparse_ops,
-            gemm_ops=self.gemm_ops + other.gemm_ops,
-            fallback_ops=self.fallback_ops + other.fallback_ops,
-            num_plans=self.num_plans + other.num_plans,
-            num_workers=max(self.num_workers, other.num_workers),
-            fused_steps=self.fused_steps + other.fused_steps,
-            elided_copies=self.elided_copies + other.elided_copies,
-            aliased_views=self.aliased_views + other.aliased_views,
-            folded_affines=self.folded_affines + other.folded_affines,
-            blocked_spmm_ops=self.blocked_spmm_ops + other.blocked_spmm_ops,
-            spmm_row_blocks=self.spmm_row_blocks + other.spmm_row_blocks,
-            layout_repacks=self.layout_repacks + other.layout_repacks,
-            bind_repacks=self.bind_repacks + other.bind_repacks,
-            depthwise_probes=self.depthwise_probes + other.depthwise_probes,
-            depthwise_grouped_ops=self.depthwise_grouped_ops
-            + other.depthwise_grouped_ops,
-            depthwise_groups=self.depthwise_groups + other.depthwise_groups,
-            depthwise_stencil_ops=self.depthwise_stencil_ops
-            + other.depthwise_stencil_ops,
-            quant_steps=self.quant_steps + other.quant_steps,
-            quant_chains=self.quant_chains + other.quant_chains,
-        )
+        """Field-driven sum (``num_workers``: max) — a new counter is one line."""
+        values = {
+            spec.name: getattr(self, spec.name) + getattr(other, spec.name)
+            for spec in dataclasses.fields(self)
+        }
+        values["num_workers"] = max(self.num_workers, other.num_workers)
+        return PlanStats(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -870,13 +853,51 @@ class _Binder:
 
 
 # ---------------------------------------------------------------------------
+# PlanTemplate
+# ---------------------------------------------------------------------------
+class PlanTemplate:
+    """What no batch size changes about a session's plans at one input
+    geometry: one shape trace, one lowering and the shared passes, whose
+    counters live on ``stats`` and whose repacked weights every plan
+    shares.  :meth:`instantiate` never writes to ``ir``.
+    """
+
+    def __init__(
+        self, session: InferenceSession, image_shape: Tuple[int, ...],
+        optimize: bool = True, disabled_passes: Tuple[str, ...] = (),
+    ):
+        self.optimize = bool(optimize)
+        self.disabled = tuple(disabled_passes)
+        self.stats = PlanStats()
+        self.ir = lower_template(session, image_shape)
+        if self.optimize:
+            run_shared_passes(self.ir, self.stats, self.disabled)
+        self._dw_verdicts: Dict[Tuple[int, int, int], dict] = {}
+
+    def instantiate(
+        self, batch: int, stats: Optional[PlanStats] = None,
+        l2_bytes: int = L2_BUDGET_BYTES, intra_op_workers: int = 1, probe: bool = True,
+    ) -> PlanIR:
+        """The optimized IR at ``batch``, ready to bind (``probe=False``:
+        the deterministic form provenance digests hash)."""
+        ir = self.ir.rebatch(batch)
+        if self.optimize:
+            run_batch_passes(
+                ir, PlanStats() if stats is None else stats, l2_bytes=l2_bytes,
+                intra_op_workers=intra_op_workers, probe=probe,
+                disabled=self.disabled, verdicts=self._dw_verdicts,
+            )
+        return ir
+
+
+# ---------------------------------------------------------------------------
 # ExecutionPlan
 # ---------------------------------------------------------------------------
 class ExecutionPlan:
     """A compiled session bound to one batch shape, arena and step list.
 
-    Lowering emits the typed plan-IR, the optimizer passes rewrite it
-    (unless ``optimize=False``), and the binder compiles the result
+    The :class:`PlanTemplate` (``template``, else a private one) is
+    instantiated for the batch and the binder compiles the result
     against a private :class:`BufferArena`.  ``run`` executes the bound
     steps and writes results either into caller-provided output arrays
     (``out=``) or into plan-owned row-major result buffers (valid until
@@ -893,20 +914,21 @@ class ExecutionPlan:
         l2_bytes: int = L2_BUDGET_BYTES,
         probe: bool = True,
         disabled_passes: Tuple[str, ...] = (),
+        template: Optional[PlanTemplate] = None,
     ):
         self.session = session
         self.batch_shape = tuple(int(s) for s in batch_shape)
-        self.optimized = bool(optimize)
-        self.arena = BufferArena()
-        self.stats = PlanStats(num_plans=1)
-
-        self.ir = lower_session(session, self.batch_shape)
-        if optimize:
-            run_passes(
-                self.ir, self.stats, l2_bytes=l2_bytes,
-                intra_op_workers=intra_op_workers,
-                probe=probe, disabled=tuple(disabled_passes),
+        if template is None:
+            template = PlanTemplate(
+                session, self.batch_shape[1:], optimize, disabled_passes
             )
+        self.optimized = template.optimize
+        self.arena = BufferArena()
+        self.stats = template.stats.merged(PlanStats(num_plans=1))
+        self.ir = template.instantiate(
+            self.batch_shape[0], self.stats, l2_bytes=l2_bytes,
+            intra_op_workers=intra_op_workers, probe=probe,
+        )
 
         binder = _Binder(
             self.ir, self.arena, self.stats,
@@ -1041,7 +1063,9 @@ class PlannedExecutor:
     steady-state traffic with stable batch sizes runs allocation-free.
     The per-shape cache is a bounded LRU (``max_plans``): a long-running
     deployment serving many input shapes evicts its least-recently-used
-    plans instead of growing arena memory without limit.
+    plans instead of growing arena memory without limit.  Plans of one
+    input geometry rebind its :class:`PlanTemplate` (same bound, shared
+    by all worker shards) instead of tracing and lowering again.
 
     With ``num_workers > 1`` the batch is split along dim 0 and the
     shards execute concurrently on a persistent thread pool; with
@@ -1080,6 +1104,8 @@ class PlannedExecutor:
         self.intra_op = bool(intra_op)
         self.compute = compute
         self._prepared: "OrderedDict[Tuple[int, ...], _PreparedBatch]" = OrderedDict()
+        self._templates: "OrderedDict[Tuple[int, ...], PlanTemplate]" = OrderedDict()
+        self._template_lock = threading.Lock()
         self._pool = _WorkerPool(self.num_workers) if self.num_workers > 1 else None
         self._unplannable = False
 
@@ -1092,18 +1118,39 @@ class PlannedExecutor:
 
         return QuantizedPlan(plan)
 
+    def _template(self, image_shape: Tuple[int, ...]) -> PlanTemplate:
+        """The (LRU-cached) template all plans of one input geometry share.
+        Locked: provenance digests read it off the serving thread."""
+        with self._template_lock:
+            template = self._templates.get(image_shape)
+            if template is None:
+                template = PlanTemplate(self.session, image_shape, self.optimize)
+                if len(self._templates) >= self.max_plans:
+                    self._templates.popitem(last=False)
+                self._templates[image_shape] = template
+            else:
+                self._templates.move_to_end(image_shape)
+            return template
+
+    def plan_ir(self, batch_shape: Tuple[int, ...]) -> PlanIR:
+        """The IR a plan for ``batch_shape`` binds, minus the timing-based
+        depthwise probe — pure IR work, no arena.  Raises ``Unplannable``."""
+        template = self._template(tuple(int(s) for s in batch_shape[1:]))
+        return template.instantiate(batch_shape[0], probe=False)
+
     def _prepare(self, shape: Tuple[int, ...]) -> _PreparedBatch:
         prepared = self._prepared.get(shape)
         if prepared is not None:
             self._prepared.move_to_end(shape)  # LRU touch
             return prepared
         n = shape[0]
+        template = self._template(tuple(shape[1:]))
         if self.intra_op and self.num_workers > 1:
             if self._pool is None:  # closed earlier: rebuild on demand
                 self._pool = _WorkerPool(self.num_workers)
             plan = self._wrap(ExecutionPlan(
-                self.session, shape, optimize=self.optimize,
-                pool=self._pool, intra_op_workers=self.num_workers,
+                self.session, shape, pool=self._pool,
+                intra_op_workers=self.num_workers, template=template,
             ))
             parts = [(slice(0, n), plan)]
         else:
@@ -1118,7 +1165,7 @@ class PlannedExecutor:
                         (
                             slice(lo, hi),
                             self._wrap(ExecutionPlan(
-                                self.session, shard_shape, optimize=self.optimize
+                                self.session, shard_shape, template=template
                             )),
                         )
                     )
@@ -1230,22 +1277,7 @@ class PlannedExecutor:
         )
 
 
-def plan_session(
-    session: InferenceSession,
-    num_workers: int = 1,
-    copy_outputs: bool = False,
-    max_plans: int = 8,
-    optimize: bool = True,
-    intra_op: bool = False,
-    compute: str = "float32",
-) -> PlannedExecutor:
-    """Wrap a compiled session in a lazily-planning, batch-sharded executor."""
-    return PlannedExecutor(
-        session,
-        num_workers=num_workers,
-        copy_outputs=copy_outputs,
-        max_plans=max_plans,
-        optimize=optimize,
-        intra_op=intra_op,
-        compute=compute,
-    )
+def plan_session(session: InferenceSession, **knobs) -> PlannedExecutor:
+    """Wrap a compiled session in a lazily-planning, batch-sharded executor
+    (``knobs`` are :class:`PlannedExecutor`'s keyword arguments)."""
+    return PlannedExecutor(session, **knobs)

@@ -3,8 +3,10 @@
 The engine compiles a fused :class:`~repro.nn.fuse.InferenceSession` in
 three phases:
 
-1. **lowering** (:func:`lower_session`) — a one-time shape trace walks the
-   fused op list and emits a :class:`PlanIR`: a straight-line list of
+1. **lowering** (:func:`lower_template`) — a one-time shape trace at a
+   tiny batch (only ``row_shape[0]`` depends on the batch;
+   :meth:`PlanIR.rebatch` rescales it) walks the fused op list and emits a
+   :class:`PlanIR`: a straight-line list of
    typed :class:`Step` nodes over SSA-style :class:`ValueInfo` operands.
    Every structural fact a rewrite needs is explicit — the op kind, which
    value each step reads and defines, whether a step runs in place on its
@@ -37,7 +39,7 @@ Step kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,10 +68,16 @@ __all__ = [
     "Step",
     "ValueInfo",
     "Unplannable",
+    "TRACE_BATCH",
     "lower_session",
-    "trace_shapes",
+    "lower_template",
     "estimate_step_cost",
 ]
+
+#: Batch size of the one shape trace behind every plan of an input
+#: geometry.  Two rather than one, so a traced value whose leading dim is
+#: not the batch (a constant ``(1, ...)`` row) is caught, not mis-scaled.
+TRACE_BATCH = 2
 
 
 class Unplannable(Exception):
@@ -240,6 +248,25 @@ class PlanIR:
         self.steps.append(step)
         return step.output
 
+    def rebatch(self, batch: int) -> "PlanIR":
+        """This program at another batch size (only a value's leading dim
+        depends on it).  Values, steps and their ``attrs``/``epilogue``
+        containers are fresh — passes and the binder's :meth:`realias` never
+        write into ``self`` — while the arrays and CSRs inside are shared."""
+        batch = int(batch)
+        ir = PlanIR((batch,) + self.batch_shape[1:])
+        ir.values = [
+            ValueInfo(v.vid, (batch,) + v.row_shape[1:], v.alias_of)
+            for v in self.values
+        ]
+        ir.steps = [
+            replace(step, attrs=dict(step.attrs), epilogue=list(step.epilogue))
+            for step in self.steps
+        ]
+        ir.input = self.input
+        ir.outputs = dict(self.outputs)
+        return ir
+
     # -- introspection -------------------------------------------------
     def describe(self) -> str:
         """A byte-stable text dump of the plan.
@@ -349,9 +376,9 @@ def estimate_step_cost(ir: "PlanIR", step: "Step") -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Shape tracing (runs the fused ops once on zeros; exact for fallbacks too)
 # ---------------------------------------------------------------------------
-def trace_shapes(session: InferenceSession, batch_shape: Tuple[int, ...]):
-    """Record (in_shape, out_shape) for every op via a dry run on zeros."""
-    shapes: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+def _trace_shapes(session: InferenceSession, batch_shape: Tuple[int, ...]):
+    """Record every op's output shape via a dry run on zeros."""
+    shapes: Dict[int, Tuple[int, ...]] = {}
 
     def trace(ops, x):
         for op in ops:
@@ -363,16 +390,20 @@ def trace_shapes(session: InferenceSession, batch_shape: Tuple[int, ...]):
                 raise Unplannable(
                     f"op {op.describe()!r} returns a dict; only session heads may"
                 )
-            shapes[id(op)] = (tuple(x.shape), tuple(y.shape))
+            if y.shape[:1] != batch_shape[:1]:
+                raise Unplannable(
+                    f"op {op.describe()!r} yields shape {tuple(y.shape)}: "
+                    "its leading dim is not the batch"
+                )
+            shapes[id(op)] = tuple(y.shape)
             x = y
         return x
 
-    x = np.zeros(batch_shape, dtype=np.float32)
-    trunk_out = trace(session.ops, x)
+    trunk_out = trace(session.ops, np.zeros(batch_shape, dtype=np.float32))
     if session.heads is not None:
         for program in session.heads.values():
             trace(program, trunk_out)
-    return shapes, tuple(trunk_out.shape)
+    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +632,7 @@ def _lower_residual(ir: PlanIR, op: ResidualOp, value: int, out_row, shapes) -> 
 
 
 def _lower_op(ir: PlanIR, op: _Op, value: int, shapes) -> int:
-    out_row = shapes[id(op)][1]
+    out_row = shapes[id(op)]
     if isinstance(op, ResidualOp):
         return _lower_residual(ir, op, value, out_row, shapes)
     if isinstance(op, ConvOp):
@@ -637,10 +668,10 @@ def _lower_program(ir: PlanIR, ops: Sequence[_Op], value: int, shapes) -> int:
     return value
 
 
-def lower_session(session: InferenceSession, batch_shape: Tuple[int, ...]) -> PlanIR:
-    """Lower a fused session into an (un-optimized) :class:`PlanIR`."""
-    ir = PlanIR(batch_shape)
-    shapes, _ = trace_shapes(session, ir.batch_shape)
+def lower_template(session: InferenceSession, image_shape: Tuple[int, ...]) -> PlanIR:
+    """Trace and lower once per input geometry, at :data:`TRACE_BATCH`."""
+    ir = PlanIR((TRACE_BATCH,) + tuple(image_shape))
+    shapes = _trace_shapes(session, ir.batch_shape)
     ir.input = ir.new_value(ir.batch_shape)
     trunk = _lower_program(ir, session.ops, ir.input, shapes)
     if session.heads is None:
@@ -658,3 +689,8 @@ def lower_session(session: InferenceSession, batch_shape: Tuple[int, ...]) -> Pl
             head = copy
         ir.outputs[name] = head
     return ir
+
+
+def lower_session(session: InferenceSession, batch_shape: Tuple[int, ...]) -> PlanIR:
+    """Lower a fused session into an (un-optimized) :class:`PlanIR`."""
+    return lower_template(session, batch_shape[1:]).rebatch(batch_shape[0])

@@ -46,6 +46,7 @@ kernel decision.
 from __future__ import annotations
 
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -63,6 +64,8 @@ __all__ = [
     "DW_PROBE_MIN_BYTES",
     "DW_WIN_MARGIN",
     "run_passes",
+    "run_shared_passes",
+    "run_batch_passes",
     "elide_copies",
     "fuse_epilogues",
     "select_kernels",
@@ -92,9 +95,10 @@ DW_PROBE_REPS = 3
 
 def _mark(step, name: str) -> None:
     """Record that pass ``name`` rewrote ``step`` (for plan describe)."""
-    passes = step.attrs.setdefault("passes", [])
+    passes = step.attrs.get("passes", [])
     if name not in passes:
-        passes.append(name)
+        # A fresh list: a rebatched step shares its template's containers.
+        step.attrs["passes"] = passes + [name]
 
 #: Step kinds that may start an epilogue chain (they own their output
 #: buffer and write it exactly once).
@@ -319,12 +323,72 @@ def _depthwise_planes_per_group(
     return max(1, min(channels, l2_bytes // max(1, per_plane_bytes)))
 
 
+def _probe_depthwise(matrix, groups, stencil, batch: int) -> dict:
+    """Time per-plane CSR against the two packed candidates on real shapes."""
+    rows, cols = matrix.shape
+    rng = np.random.default_rng(0xD3)
+    x2 = rng.standard_normal((cols, batch)).astype(np.float32)
+    y_ref = np.empty((rows, batch), dtype=np.float32)
+    y_try = np.empty((rows, batch), dtype=np.float32)
+    pad_shape, mul_shape = stencil.scratch_shapes(batch)
+    pad = np.zeros(pad_shape, dtype=np.float32)
+    mul = np.empty(mul_shape, dtype=np.float32)
+    x4 = x2.reshape(stencil.channels, stencil.h, stencil.w, batch)
+    y4_try = y_try.reshape(stencil.channels, stencil.ho, stencil.wo, batch)
+
+    def run_csr():
+        y_ref.fill(0.0)
+        kernels.spmm_accumulate(matrix, x2, y_ref)
+
+    def run_groups():
+        y_try.fill(0.0)
+        spmm_depthwise_groups(groups, x2, y_try)
+
+    def run_stencil():
+        y_try.fill(0.0)
+        stencil.run(x4, y4_try, pad, mul)
+
+    run_csr()
+    ref = y_ref.copy()
+    run_groups()
+    groups_exact = bool(np.array_equal(y_try, ref))
+    run_stencil()
+    stencil_exact = bool(np.array_equal(y_try, ref))
+
+    times = {}
+    for name, fn in (
+        ("csr", run_csr), ("group_csr", run_groups), ("stencil", run_stencil)
+    ):
+        best = float("inf")
+        for _ in range(DW_PROBE_REPS):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        times[name] = best * 1000.0
+
+    eligible = {"csr": times["csr"]}
+    if groups_exact:  # structurally guaranteed; belt and braces
+        eligible["group_csr"] = times["group_csr"]
+    if stencil_exact:
+        eligible["stencil"] = times["stencil"]
+    winner = min(eligible, key=eligible.get)
+    if winner != "csr" and times["csr"] < eligible[winner] * DW_WIN_MARGIN:
+        winner = "csr"  # within noise margin: the incumbent stays
+    return {
+        "times_ms": {k: round(v, 4) for k, v in times.items()},
+        "winner": winner,
+        "stencil_exact": stencil_exact,
+        "group_csr_exact": groups_exact,
+    }
+
+
 def block_depthwise(
     ir: PlanIR,
     stats,
     batch: int,
     l2_bytes: int = L2_BUDGET_BYTES,
     probe: bool = True,
+    verdicts: Optional[dict] = None,
 ) -> None:
     """Rewrite large depthwise SpMMs to the measured-fastest kernel.
 
@@ -332,8 +396,14 @@ def block_depthwise(
     there (the group/stencil kernels already bound their working sets).
     With ``probe=False`` (e.g. provenance digests, which must not depend
     on timing noise) every step keeps per-plane CSR.
+
+    ``verdicts`` (the template's memo of probe records) lets a plan
+    rebuilt after an LRU eviction, or a second worker shard, reuse the
+    recorded winner instead of re-timing and maybe picking another
+    kernel; only a fresh timing counts as a ``depthwise_probes``.
     """
-    for step in ir.steps:
+    verdicts = {} if verdicts is None else verdicts
+    for index, step in enumerate(ir.steps):
         if step.kind != "conv_spmm":
             continue
         op = step.op
@@ -346,12 +416,6 @@ def block_depthwise(
         channels = op.c_out
         rows, cols = matrix.shape
         plane_out, plane_in = rows // channels, cols // channels
-        stats.depthwise_probes += 1
-
-        rng = np.random.default_rng(0xD3)
-        x2 = rng.standard_normal((cols, batch)).astype(np.float32)
-        y_ref = np.empty((rows, batch), dtype=np.float32)
-        y_try = np.empty((rows, batch), dtype=np.float32)
 
         g_csr = _depthwise_planes_per_group(
             (plane_in + plane_out) * batch * 4 + matrix_bytes // channels,
@@ -369,65 +433,21 @@ def block_depthwise(
             (hp * wp + 2 * ho * wo) * batch * 4, channels, l2_bytes
         )
         stencil = DepthwiseStencil(op, h, w, ho, wo, g_st)
-        pad_shape, mul_shape = stencil.scratch_shapes(batch)
-        pad = np.zeros(pad_shape, dtype=np.float32)
-        mul = np.empty(mul_shape, dtype=np.float32)
-        x4 = x2.reshape(channels, h, w, batch)
-        y4_try = y_try.reshape(channels, ho, wo, batch)
 
-        def run_csr():
-            y_ref.fill(0.0)
-            kernels.spmm_accumulate(matrix, x2, y_ref)
-
-        def run_groups():
-            y_try.fill(0.0)
-            spmm_depthwise_groups(groups, x2, y_try)
-
-        def run_stencil():
-            y_try.fill(0.0)
-            stencil.run(x4, y4_try, pad, mul)
-
-        run_csr()
-        ref = y_ref.copy()
-        run_groups()
-        groups_exact = bool(np.array_equal(y_try, ref))
-        run_stencil()
-        stencil_exact = bool(np.array_equal(y_try, ref))
-
-        times = {}
-        for name, fn in (
-            ("csr", run_csr), ("group_csr", run_groups), ("stencil", run_stencil)
-        ):
-            best = float("inf")
-            for _ in range(DW_PROBE_REPS):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            times[name] = best * 1000.0
-
-        eligible = {"csr": times["csr"]}
-        if groups_exact:  # structurally guaranteed; belt and braces
-            eligible["group_csr"] = times["group_csr"]
-        if stencil_exact:
-            eligible["stencil"] = times["stencil"]
-        winner = min(eligible, key=eligible.get)
-        if winner != "csr" and times["csr"] < eligible[winner] * DW_WIN_MARGIN:
-            winner = "csr"  # within noise margin: the incumbent stays
-
-        step.attrs["dw_probe"] = {
-            "times_ms": {k: round(v, 4) for k, v in times.items()},
-            "winner": winner,
-            "stencil_exact": stencil_exact,
-            "group_csr_exact": groups_exact,
-            "planes_per_group": {"group_csr": g_csr, "stencil": g_st},
-        }
-        if winner == "group_csr":
+        key = (index, batch, l2_bytes)
+        record = verdicts.get(key)
+        if record is None:
+            stats.depthwise_probes += 1
+            record = verdicts[key] = _probe_depthwise(matrix, groups, stencil, batch)
+            record["planes_per_group"] = {"group_csr": g_csr, "stencil": g_st}
+        step.attrs["dw_probe"] = record
+        if record["winner"] == "group_csr":
             step.attrs["dw_kernel"] = "group_csr"
             step.attrs["dw_groups"] = groups
             stats.depthwise_grouped_ops += 1
             stats.depthwise_groups += len(groups)
             _mark(step, "block_depthwise")
-        elif winner == "stencil":
+        elif record["winner"] == "stencil":
             step.attrs["dw_kernel"] = "stencil"
             step.attrs["dw_stencil"] = stencil
             stats.depthwise_stencil_ops += 1
@@ -484,6 +504,29 @@ def block_spmm(
 # ---------------------------------------------------------------------------
 # The pipeline
 # ---------------------------------------------------------------------------
+_SHARED_PASSES = (elide_copies, fuse_epilogues, select_kernels, repack_layouts)
+
+
+def run_shared_passes(ir: PlanIR, stats, disabled: tuple = ()) -> PlanIR:
+    """The four passes that never look at the batch: once per template."""
+    for fn in _SHARED_PASSES:
+        if fn.__name__ not in disabled:
+            fn(ir, stats)
+    return ir
+
+
+def run_batch_passes(
+    ir: PlanIR, stats, l2_bytes: int = L2_BUDGET_BYTES, intra_op_workers: int = 1,
+    probe: bool = True, disabled: tuple = (), verdicts: Optional[dict] = None,
+) -> PlanIR:
+    """The two passes that size their work to ``ir.batch``, per plan."""
+    if "block_depthwise" not in disabled:
+        block_depthwise(ir, stats, ir.batch, l2_bytes, probe, verdicts)
+    if "block_spmm" not in disabled:
+        block_spmm(ir, stats, ir.batch, l2_bytes, max(1, intra_op_workers))
+    return ir
+
+
 def run_passes(
     ir: PlanIR,
     stats,
@@ -499,29 +542,8 @@ def run_passes(
     names passes to skip by function name; benchmarks use it to build
     honest "this pass off" baselines in the same process.
     """
-    pipeline = (
-        (elide_copies, lambda: elide_copies(ir, stats)),
-        (fuse_epilogues, lambda: fuse_epilogues(ir, stats)),
-        (select_kernels, lambda: select_kernels(ir, stats)),
-        (repack_layouts, lambda: repack_layouts(ir, stats)),
-        (
-            block_depthwise,
-            lambda: block_depthwise(
-                ir, stats, ir.batch, l2_bytes=l2_bytes, probe=probe
-            ),
-        ),
-        (
-            block_spmm,
-            lambda: block_spmm(
-                ir,
-                stats,
-                ir.batch,
-                l2_bytes=l2_bytes,
-                min_blocks=intra_op_workers if intra_op_workers > 1 else 1,
-            ),
-        ),
+    run_shared_passes(ir, stats, disabled)
+    return run_batch_passes(
+        ir, stats, l2_bytes=l2_bytes, intra_op_workers=intra_op_workers,
+        probe=probe, disabled=disabled,
     )
-    for fn, thunk in pipeline:
-        if fn.__name__ not in disabled:
-            thunk()
-    return ir

@@ -47,8 +47,7 @@ from .. import nn
 from ..core.architecture import EdgeModel, MTLSplitNet, ServerModel
 from ..deployment.channel import NetworkChannel
 from ..deployment.wire import WireFormat, decode_tensor, encode_tensor
-from ..nn.engine import PlanStats, PlannedExecutor, Unplannable, lower_session, run_passes
-from ..nn.engine.ir import trace_shapes
+from ..nn.engine import PlanStats, PlannedExecutor, Unplannable
 from ..nn.tensor import Tensor
 from .faults import (
     FALLBACK_MODES,
@@ -133,7 +132,10 @@ class _RuntimeBase:
         optimizer pass change or an ``optimize`` flag flip changes the
         digest and retires every cached entry — and for the un-planned
         modes it is the fused session description / an eval-mode marker.
-        No arena is allocated: lowering + passes are pure IR work.
+        No arena is allocated, and the depthwise probe stays off (a
+        digest must never depend on timing noise):
+        :meth:`~repro.nn.engine.PlannedExecutor.plan_ir` is pure IR work
+        on the executor's shared plan template.
         """
         if isinstance(self.session, PlannedExecutor):
             header = (
@@ -142,14 +144,7 @@ class _RuntimeBase:
             )
             if batch_shape is not None:
                 try:
-                    ir = lower_session(self.session.session, tuple(batch_shape))
-                    if self.session.optimize:
-                        # probe=False: the depthwise kernel probe picks
-                        # winners by *timing*, and a digest must never
-                        # depend on timing noise.  Provenance describes
-                        # the deterministic pass pipeline only.
-                        run_passes(ir, PlanStats(), probe=False)
-                    return f"{header}\n{ir.describe()}"
+                    return f"{header}\n{self.session.plan_ir(batch_shape).describe()}"
                 except Unplannable:
                     pass
             return f"{header}\n{self.session.session.describe()}"
@@ -227,19 +222,17 @@ class EdgeRuntime(_RuntimeBase):
     def output_shape(self, batch_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         """The shape of ``Z_b`` for ``batch_shape`` inputs.
 
-        Pure shape work for planned/compiled sessions (a dry trace on
-        zeros, no arena); eval-mode falls back to one zeros forward.
-        Used to lower the *server* half's plan for provenance digests
-        without running real traffic.
+        Read off the plan template for planned sessions (no forward, no
+        arena); the other modes run one zeros forward.  Used to lower the
+        *server* half's plan for provenance digests without running real
+        traffic.
         """
-        if self.session is not None:
-            session = (
-                self.session.session
-                if isinstance(self.session, PlannedExecutor)
-                else self.session
-            )
-            _, out_shape = trace_shapes(session, tuple(batch_shape))
-            return out_shape
+        if self.planned:
+            try:
+                ir = self.session.plan_ir(batch_shape)
+                return ir.values[ir.outputs[None]].row_shape
+            except Unplannable:
+                pass
         z_b, _ = self.forward(np.zeros(batch_shape, dtype=np.float32))
         return tuple(z_b.shape)
 

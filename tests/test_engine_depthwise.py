@@ -181,6 +181,43 @@ class TestProbeSelection:
         for name in rhs:
             np.testing.assert_array_equal(lhs[name], rhs[name])
 
+    def test_evicted_plan_rebuilds_with_the_recorded_winner(
+        self, probe_setup, monkeypatch
+    ):
+        session, x = probe_setup
+        monkeypatch.setattr(passes, "DW_PROBE_MIN_BYTES", 0)
+        executor = PlannedExecutor(session, max_plans=1)
+
+        def depthwise(plan):
+            return [
+                (s.attrs.get("dw_kernel"), s.attrs["dw_probe"])
+                for s in plan.ir.steps if "dw_probe" in s.attrs
+            ]
+
+        executor.run(x)
+        (first,) = (plan for _, plan in executor._prepared[x.shape].parts)
+        timed = first.stats.depthwise_probes
+        assert timed > 0 and len(depthwise(first)) == timed
+
+        expected = {name: out.copy() for name, out in executor.run(x).items()}
+        executor.run(x[:3])  # max_plans=1: evicts the batch-4 plan
+        assert x.shape not in executor._prepared
+
+        def no_second_timing(*args, **kwargs):
+            raise AssertionError("a rebuilt plan re-timed its depthwise kernels")
+
+        monkeypatch.setattr(passes, "_probe_depthwise", no_second_timing)
+        rebuilt_out = executor.run(x)
+        (rebuilt,) = (plan for _, plan in executor._prepared[x.shape].parts)
+        assert rebuilt is not first
+        assert rebuilt.stats.depthwise_probes == 0  # reused, not a fresh timing
+        for (kernel, record), (kernel2, record2) in zip(
+            depthwise(first), depthwise(rebuilt), strict=True
+        ):
+            assert kernel == kernel2 and record is record2
+        for name in expected:
+            np.testing.assert_array_equal(rebuilt_out[name], expected[name])
+
     def test_probe_disabled_for_provenance(self, probe_setup, monkeypatch):
         session, x = probe_setup
         monkeypatch.setattr(passes, "DW_PROBE_MIN_BYTES", 0)
