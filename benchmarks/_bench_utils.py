@@ -100,14 +100,14 @@ def pipeline_stamp(pipeline, batch_shape, split_index=None) -> dict:
 def session_stamp(session, batch_shape, header: str = "") -> dict:
     """Plan digest for a bare fused engine session (benches below the
     serve layer entirely, e.g. the quant8 edge sweep).  ``spec_digest``
-    is empty by contract; the plan template is instantiated with
-    ``probe=False`` so the digest never depends on depthwise-probe timings."""
+    is empty by contract; the plan text is a pure function of the session
+    and the batch shape."""
     from repro.nn.engine import PlanTemplate, Unplannable
     from repro.serve.cache.keys import provenance_digest
 
     try:
         template = PlanTemplate(session, tuple(batch_shape[1:]))
-        text = template.instantiate(batch_shape[0], probe=False).describe()
+        text = template.instantiate(batch_shape[0]).describe()
     except Unplannable:
         text = session.describe()
     return {"spec_digest": "", "plan_digest": provenance_digest([header, text])}

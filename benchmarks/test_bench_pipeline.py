@@ -9,9 +9,10 @@ predictions.
 
 from __future__ import annotations
 
-import numpy as np
-
 import time
+from statistics import median
+
+import numpy as np
 
 from repro import data, nn
 from repro.core import MTLSplitNet, MultiTaskTrainer, TrainConfig
@@ -25,11 +26,16 @@ from _bench_utils import emit, pipeline_stamp
 _BATCHES = 8
 _BATCH_SIZE = 16
 
-# The hires scenario point the depthwise rewrites target: whole backbone
-# on the edge at 224px, batch 2 (the mobilenetv3_hires_224px config).
+# The hires scenario point the rows kernel targets: whole backbone on the
+# edge at 224px, batch 2 (the mobilenetv3_hires_224px config).
 _HIRES_PX = 224
 _HIRES_BATCH = 2
 _HIRES_BACKBONE = "mobilenet_v3_tiny"
+# The CI gate on the rows-vs-per-plane-CSR ratio: a ratio measured round
+# by round inside one process, never an absolute latency.  The recorded
+# per-round minimum (1.7-1.8x over 9 rounds on the 2-core host) is its noise
+# bound; 1.5x leaves room for hosts where csr_matvecs fares better.
+_HIRES_MIN_RATIO = 1.5
 
 
 def build_net():
@@ -88,16 +94,17 @@ def _stream_interleaved(net, batches, rounds=9):
 
 
 def _hires_depthwise_ab(rounds=9, batches=3):
-    """Interleaved A/B of the depthwise-blocked plan at the hires tier.
+    """Interleaved A/B of the rows depthwise kernel at the hires tier.
 
-    The 32px quick tier never triggers the depthwise probe (its matrices
-    sit below DW_PROBE_MIN_BYTES), so the pipeline measurement above
-    cannot see the rewrite.  This measures the edge half (the whole
-    backbone — where every depthwise conv lives) at the hires scenario
-    point against a same-run baseline compiled with the *pre-PR* pass
-    pipeline (layout repacking and depthwise rewriting disabled), with
-    the same round-interleaved, min-of-rounds discipline as the quick
-    tier: host drift must not be able to invert the comparison.
+    At the quick tier's batch 16 ``block_depthwise`` keeps per-plane CSR,
+    so the pipeline measurement above cannot see the kernel.  This
+    measures the edge half (the whole backbone — where every depthwise
+    conv lives) at the hires scenario point against the same plan built
+    with ``disabled_passes=("block_depthwise",)`` — per-plane CSR, L2 row
+    blocking included — and requires the two to agree bit for bit.  Each
+    round times both plans back to back, order alternating, and yields
+    one ratio: host drift between rounds cannot invert the comparison,
+    and the spread of the per-round ratios is the noise bound.
     """
     tasks = data.make_shapes3d(4, tasks=("scale", "shape"), seed=7).tasks
     net = MTLSplitNet.from_tasks(_HIRES_BACKBONE, list(tasks), _HIRES_PX, seed=31)
@@ -111,16 +118,9 @@ def _hires_depthwise_ab(rounds=9, batches=3):
     xs = [rng.standard_normal(shape).astype(np.float32) for _ in range(batches)]
 
     plan = ExecutionPlan(session, shape)
-    baseline = ExecutionPlan(
-        session, shape, disabled_passes=("repack_layouts", "block_depthwise")
-    )
-    # Bit-identity gate for the depthwise rewrite alone: against a plan
-    # differing *only* in block_depthwise (layout repacking changes GEMM
-    # summation order, so the pre-PR baseline is compared with allclose).
-    dw_off = ExecutionPlan(session, shape, disabled_passes=("block_depthwise",))
+    baseline = ExecutionPlan(session, shape, disabled_passes=("block_depthwise",))
     for x in xs:
-        np.testing.assert_array_equal(plan.run(x).copy(), dw_off.run(x))
-        np.testing.assert_allclose(plan.run(x), baseline.run(x), atol=1e-4)
+        np.testing.assert_array_equal(plan.run(x).copy(), baseline.run(x))
 
     def timed(p):
         t0 = time.perf_counter()
@@ -129,28 +129,25 @@ def _hires_depthwise_ab(rounds=9, batches=3):
         return time.perf_counter() - t0
 
     timed(plan), timed(baseline)  # warmup
-    best = base_best = None
+    rows_s, csr_s = [], []
     for round_index in range(rounds):
         order = (plan, baseline) if round_index % 2 == 0 else (baseline, plan)
         for p in order:
-            t = timed(p)
-            if p is plan:
-                best = t if best is None else min(best, t)
-            else:
-                base_best = t if base_best is None else min(base_best, t)
+            (rows_s if p is plan else csr_s).append(timed(p))
+    ratios = [csr / rows for csr, rows in zip(csr_s, rows_s)]
 
-    stats = plan.stats
     return {
         "hires_backbone": _HIRES_BACKBONE,
         "hires_input_size": _HIRES_PX,
         "hires_batch_size": _HIRES_BATCH,
-        "hires_edge_ms": best * 1e3,
-        "hires_edge_ms_baseline_pre_pr": base_best * 1e3,
-        "hires_edge_speedup_vs_pre_pr": base_best / best if best else 0.0,
-        "hires_depthwise_probes": stats.depthwise_probes,
-        "hires_depthwise_grouped_ops": stats.depthwise_grouped_ops,
-        "hires_depthwise_stencil_ops": stats.depthwise_stencil_ops,
-        "hires_layout_repacks": stats.layout_repacks,
+        "hires_rounds": rounds,
+        "hires_edge_ms": min(rows_s) * 1e3 / batches,
+        "hires_edge_ms_per_plane_csr": min(csr_s) * 1e3 / batches,
+        "hires_rows_vs_csr_ratio_min": min(ratios),
+        "hires_rows_vs_csr_ratio_median": median(ratios),
+        "hires_rows_vs_csr_ratio_max": max(ratios),
+        "hires_depthwise_rows_ops": plan.stats.depthwise_rows_ops,
+        "hires_baseline_spmm_row_blocks": baseline.stats.spmm_row_blocks,
     }
 
 
@@ -191,8 +188,10 @@ def test_pipeline_end_to_end(benchmark, results_dir):
     # aliases in the baseline too, so they are reported separately.
     assert report.elided_copies + report.aliased_views > 0
 
-    # Hires tier: the depthwise rewrites only engage on 224px matrices.
+    # Hires tier: rows kernel vs per-plane CSR, gated as a same-run ratio.
     hires = _hires_depthwise_ab()
+    assert hires["hires_depthwise_rows_ops"] > 0
+    assert hires["hires_rows_vs_csr_ratio_median"] >= _HIRES_MIN_RATIO, hires
 
     transfer = pipeline.total_transfer_seconds()
     server = sum(t.server_seconds for t in pipeline.traces)
@@ -217,12 +216,13 @@ def test_pipeline_end_to_end(benchmark, results_dir):
         f"{report.batches_per_second:.1f} batches/s, "
         f"critical stage: {report.critical_stage})\n"
         f"  hires edge ({hires['hires_backbone']} @{_HIRES_PX}px b{_HIRES_BATCH}, "
-        f"depthwise-blocked float32): {hires['hires_edge_ms']:.2f} ms "
-        f"(pre-PR same-run baseline {hires['hires_edge_ms_baseline_pre_pr']:.2f} ms "
-        f"-> {hires['hires_edge_speedup_vs_pre_pr']:.2f}x; "
-        f"{hires['hires_depthwise_grouped_ops']} grouped / "
-        f"{hires['hires_depthwise_stencil_ops']} stencil rewrite(s) of "
-        f"{hires['hires_depthwise_probes']} probed)"
+        f"{hires['hires_depthwise_rows_ops']} depthwise step(s) on row vectors): "
+        f"{hires['hires_edge_ms']:.2f} ms/batch vs per-plane CSR "
+        f"{hires['hires_edge_ms_per_plane_csr']:.2f} ms/batch, same-run ratio "
+        f"{hires['hires_rows_vs_csr_ratio_median']:.2f}x median "
+        f"[{hires['hires_rows_vs_csr_ratio_min']:.2f}, "
+        f"{hires['hires_rows_vs_csr_ratio_max']:.2f}] over "
+        f"{hires['hires_rounds']} interleaved rounds"
     )
     emit(
         results_dir,

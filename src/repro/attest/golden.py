@@ -8,8 +8,8 @@ step (see :func:`~repro.attest.attestation.first_divergence`).
 
 Recording policy mirrors the scenario tiers:
 
-* **quick** tier — recorded and CI-gated on every PR (small inputs, no
-  depthwise probe eligibility, seconds to verify);
+* **quick** tier — recorded and CI-gated on every PR (small inputs,
+  seconds to verify);
 * **hires** tier (float32 rows) — recorded but ``host_gated``: large
   GEMMs may dispatch different BLAS kernels across CPU
   microarchitectures, so these verify on demand (``--host-gated``), not

@@ -4,8 +4,7 @@ Reproduces the paper's Sec. 4.2 machinery: analytic model profiling
 (Table 4), edge-device memory feasibility (the Jetson Nano LoC argument),
 network-channel latency (the gigabit RoC-vs-SC comparison), and ``Z_b``
 wire serialisation.  The *runnable* edge→link→server pipeline lives in
-:mod:`repro.serve` (the deprecated runtime shims that used to mirror it
-here were removed after their two-PR soak; see :mod:`.runtime`).
+:mod:`repro.serve`; :mod:`.runtime` only re-exports its data types.
 """
 
 from .channel import (
@@ -50,8 +49,6 @@ from .profiler import (
 )
 from .report import render_paradigm_comparison, render_table4, render_throughput, table4_rows
 from .runtime import InferenceTrace, SimulatedLink, ThroughputReport
-from .runtime import REMOVED as _REMOVED_RUNTIME_NAMES
-from .runtime import removed_attribute_error as _removed_attribute_error
 from .wire import WireFormat, decode_tensor, encode_tensor, payload_bytes
 
 __all__ = [
@@ -99,9 +96,3 @@ __all__ = [
     "energy_profile",
     "lowest_edge_energy_split",
 ]
-
-
-def __getattr__(name: str):
-    if name in _REMOVED_RUNTIME_NAMES:
-        raise _removed_attribute_error(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,18 +1,15 @@
 """Former home of the runnable split pipeline (moved to ``repro.serve``).
 
-The deprecated ``EdgeRuntime`` / ``ServerRuntime`` / ``SplitPipeline``
-shims that used to live here have been **removed** after soaking for the
-agreed two PRs.  Declare the same deployment with the declarative API::
+Declare a deployment with the declarative API::
 
     repro.deploy(repro.DeploymentSpec(...))   # full lifecycle
     Deployment.infer / .stream / .submit      # the three serving surfaces
 
-Code that really needs the execution layer directly should import it
-from its real home, :mod:`repro.serve.runtime`.
-
-The pure data types (:class:`InferenceTrace`, :class:`ThroughputReport`,
+Code that really needs the execution layer directly imports it from its
+real home, :mod:`repro.serve.runtime`.  The pure data types
+(:class:`InferenceTrace`, :class:`ThroughputReport`,
 :class:`SimulatedLink`) are still re-exported here: they carry no
-resources and never warned — only their implementation moved.
+resources — only their implementation moved.
 """
 
 from __future__ import annotations
@@ -24,29 +21,3 @@ __all__ = [
     "SimulatedLink",
     "ThroughputReport",
 ]
-
-#: Names removed at the end of the deprecation window, with their new home.
-REMOVED = {
-    "EdgeRuntime": "repro.serve.runtime.EdgeRuntime",
-    "ServerRuntime": "repro.serve.runtime.ServerRuntime",
-    "SplitPipeline": "repro.serve.runtime.SplitPipeline",
-}
-
-
-def removed_attribute_error(name: str) -> AttributeError:
-    """The one migration-hint message for a removed runtime name.
-
-    Shared with the :mod:`repro.deployment` package ``__getattr__`` so
-    the hint cannot drift between the two access paths.
-    """
-    return AttributeError(
-        f"repro.deployment.{name} was removed after its deprecation "
-        f"window; use repro.deploy(DeploymentSpec(...)) or import "
-        f"{REMOVED[name]} directly"
-    )
-
-
-def __getattr__(name: str):
-    if name in REMOVED:
-        raise removed_attribute_error(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

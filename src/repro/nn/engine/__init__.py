@@ -8,9 +8,10 @@ optimizes what is left.  Compilation is a three-phase pipeline:
    per input geometry, turns the fused op list into a *plan-IR*: a typed
    step graph (op kind, input/output values, weight references) in column-major
    ``(features..., batch)`` layout, where pointwise convolutions, linear
-   layers and squeeze-excite gates are contiguous GEMMs and
-   padded/strided/grouped convolutions are plan-time CSR matrices run
-   through ``scipy.sparse``'s C kernels (padding baked into the matrix);
+   layers and squeeze-excite gates are contiguous GEMMs, grouped and
+   depthwise convolutions are CSR matrices run through ``scipy.sparse``'s
+   C kernels (padding baked into the matrix), and dense-kernel
+   convolutions are a copy-based im2col plus one GEMM;
 2. **optimization** (:mod:`~repro.nn.engine.passes`) — rewrites of the
    step graph before any buffer exists: *epilogue fusion* collapses
    bias/activation/affine/residual-add chains into their producing
@@ -20,9 +21,9 @@ optimizes what is left.  Compilation is a three-phase pipeline:
    pre-fills SpMM outputs with the bias, *layout repacking* canonicalises
    every GEMM operand to C-contiguous float32 at plan time (transpose
    folded into the stored weight, so sgemm always takes the BLAS fast
-   path with zero runtime copies), *depthwise rewriting* probes
-   group-blocked CSR and a padded-slab stencil against per-plane CSR and
-   keeps the measured winner (bit-identical results required), and *SpMM
+   path with zero runtime copies), *depthwise rewriting* moves depthwise
+   steps whose geometry says so from per-plane CSR onto a row-vector
+   kernel (bit-identical, decided without timing anything), and *SpMM
    row blocking* partitions large CSR matrices into pre-packed, L2-sized
    row blocks.  The first four run once on the :class:`PlanTemplate`
    every batch size of a geometry shares; only the last two (and the
@@ -36,9 +37,7 @@ optimizes what is left.  Compilation is a three-phase pipeline:
 
 :class:`PlannedExecutor` wraps plans behind the ``InferenceSession.run``
 API, caches plans per observed batch shape in a bounded LRU, and — with
-``num_workers > 1`` — either shards the batch across a persistent thread
-pool, or (``intra_op=True``) splits single steps' output rows across the
-same pool for lone-request latency.
+``num_workers > 1`` — shards the batch across a persistent thread pool.
 
 Optimized plans match the unoptimized plan and the unplanned compiled
 forward within 1e-6 — the property the engine tests assert across

@@ -6,9 +6,7 @@ on the *rewritten* program, and compiles each step into a closure over
 those views.  A :class:`PlanTemplate` holds the batch-independent part
 (trace, lowering, shared passes); :class:`ExecutionPlan` binds a copy of
 it per batch shape; :class:`PlannedExecutor` caches both (bounded LRU) and
-shards batches across a persistent :class:`_WorkerPool` — or, with
-``intra_op=True``, splits a single step's output rows across that same
-pool (the intra-op row-parallel hook).
+shards batches across a persistent :class:`_WorkerPool`.
 """
 
 from __future__ import annotations
@@ -25,8 +23,15 @@ import numpy as np
 
 from ..fuse import InferenceSession
 from . import kernels
-from .ir import PlanIR, Step, Unplannable, estimate_step_cost, lower_template
-from .kernels import apply_act, mean_weights, spmm, spmm_blocks
+from .ir import (
+    PlanIR,
+    Step,
+    Unplannable,
+    conv_geometry,
+    estimate_step_cost,
+    lower_template,
+)
+from .kernels import apply_act, mean_weights, spmm_blocks
 from .passes import L2_BUDGET_BYTES, run_batch_passes, run_shared_passes
 
 __all__ = [
@@ -115,10 +120,7 @@ class PlanStats:
     spmm_row_blocks: int = 0  # total row blocks across blocked SpMMs
     layout_repacks: int = 0  # operands canonicalized at plan time (repack pass)
     bind_repacks: int = 0  # operands the *binder* still had to copy (0 when optimized)
-    depthwise_probes: int = 0  # depthwise steps micro-probed at plan time
-    depthwise_grouped_ops: int = 0  # depthwise steps running as block-diagonal groups
-    depthwise_groups: int = 0  # total plane groups across grouped depthwise steps
-    depthwise_stencil_ops: int = 0  # depthwise steps running as padded-slab stencils
+    depthwise_rows_ops: int = 0  # depthwise steps running the row-vector kernel
     quant_steps: int = 0  # steps executing with int32 accumulation (quant8)
     quant_chains: int = 0  # int8->int8 fused requantization hand-offs (quant8)
 
@@ -218,19 +220,10 @@ class _WorkerPool:
 # The binder: IR -> arena-bound closures
 # ---------------------------------------------------------------------------
 class _Binder:
-    def __init__(
-        self,
-        ir: PlanIR,
-        arena: BufferArena,
-        stats: PlanStats,
-        pool: Optional[_WorkerPool] = None,
-        intra_op_workers: int = 1,
-    ):
+    def __init__(self, ir: PlanIR, arena: BufferArena, stats: PlanStats):
         self.ir = ir
         self.arena = arena
         self.stats = stats
-        self.pool = pool
-        self.intra_op_workers = intra_op_workers if pool is not None else 1
         self.batch = ir.batch
         self.bindings: Dict[int, _Value] = {}
         self.steps: List[Tuple[str, Callable[[], None]]] = []
@@ -377,23 +370,6 @@ class _Binder:
     def _bind_view(self, step: Step) -> None:
         pass  # pure alias: no runtime work, no buffer
 
-    def _row_parallel(self, thunk_builder, rows: int):
-        """Split ``rows`` across the pool when the intra-op hook is active.
-
-        ``thunk_builder(lo, hi)`` returns the closure for one row slice.
-        Returns a list of thunks (length 1 when splitting is off or not
-        worthwhile).
-        """
-        workers = self.intra_op_workers
-        if workers <= 1 or rows < 2 * workers:
-            return [thunk_builder(0, rows)]
-        bounds = np.linspace(0, rows, workers + 1).astype(int)
-        return [
-            thunk_builder(int(bounds[i]), int(bounds[i + 1]))
-            for i in range(workers)
-            if bounds[i + 1] > bounds[i]
-        ]
-
     def _bind_conv_gemm(self, step: Step) -> None:
         x = self.resolve(step.inputs[0])
         out = self.define(step.output)
@@ -414,41 +390,21 @@ class _Binder:
             skip2 = self.resolve(step.epilogue[1][1]).reshape(c_out, -1)
             bias = step.epilogue[0][1]
 
-            def build(lo, hi):
-                def run(
-                    W=weight[lo:hi], x=x2, y=y2[lo:hi],
-                    b=bias[lo:hi], s=skip2[lo:hi],
-                ):
-                    np.add(s, b, out=y)
-                    kernels.beta_gemm(W, x, y)
-
-                return run
+            def main(W=weight, x=x2, y=y2, b=bias, s=skip2):
+                np.add(s, b, out=y)
+                kernels.beta_gemm(W, x, y)
 
         elif beta:
             bias = step.epilogue[0][1]
 
-            def build(lo, hi):
-                def run(W=weight[lo:hi], x=x2, y=y2[lo:hi], b=bias[lo:hi]):
-                    np.copyto(y, b)  # row-constant fill, then sgemm(beta=1)
-                    kernels.beta_gemm(W, x, y)
-
-                return run
+            def main(W=weight, x=x2, y=y2, b=bias):
+                np.copyto(y, b)  # row-constant fill, then sgemm(beta=1)
+                kernels.beta_gemm(W, x, y)
 
         else:
 
-            def build(lo, hi):
-                return lambda W=weight[lo:hi], x=x2, y=y2[lo:hi]: np.matmul(
-                    W, x, out=y
-                )
-
-        thunks = self._row_parallel(build, c_out)
-        if len(thunks) == 1:
-            main = thunks[0]
-        else:
-            pool = self.pool
-
-            def main(pool=pool, thunks=tuple(thunks)):
-                pool.run_all(thunks)
+            def main(W=weight, x=x2, y=y2):
+                np.matmul(W, x, out=y)
 
         self.emit(
             step.describe(),
@@ -470,8 +426,7 @@ class _Binder:
         n = self.batch
         x2 = x.reshape(-1, n)
         y2 = out.reshape(-1, n)
-        matrix = step.attrs["matrix"]
-        blocks = step.attrs.get("row_blocks")
+        geometry = conv_geometry(self.ir, step)
         prefill = bool(step.attrs.get("bias_prefill") and step.epilogue)
         if prefill:
             bias = step.epilogue[0][1]
@@ -486,54 +441,29 @@ class _Binder:
             def fill(y=y2):
                 y.fill(0.0)
 
-        dw_kernel = step.attrs.get("dw_kernel")
-        if dw_kernel == "group_csr":
-            groups_dw = tuple(step.attrs["dw_groups"])
+        if "dw_rows" in step.attrs:
+            rows = kernels.conv_csr_cached(
+                step.op, "rows", kernels.DepthwiseRows, *geometry
+            )
+            slab_id, slab = self.scratch(rows.slab_shape(step.attrs["dw_rows"], n))
+            conv = rows.bind(x, out, slab)
+            self.arena.release(slab_id)
 
-            def main(g=groups_dw, x=x2, y=y2, fill=fill):
+            def main(fill=fill, conv=conv):
                 fill()
-                for block in g:
-                    block.run(x, y)
+                conv()
 
-        elif dw_kernel == "stencil":
-            stencil = step.attrs["dw_stencil"]
-            pad_shape, mul_shape = stencil.scratch_shapes(n)
-            pad_id, pad = self.scratch(pad_shape)
-            mul_id, mul = self.scratch(mul_shape)
+        elif "row_blocks" in step.attrs:
 
-            def main(st=stencil, x=x, y=out, pad=pad, mul=mul, fill=fill):
+            def main(b=step.attrs["row_blocks"], x=x2, y=y2, fill=fill):
                 fill()
-                st.run(x, y, pad, mul)
-
-            self.arena.release(pad_id)
-            self.arena.release(mul_id)
-        elif blocks is None:
-
-            def main(m=matrix, x=x2, y=y2, fill=fill):
-                fill()
-                kernels.spmm_accumulate(m, x, y)
+                spmm_blocks(b, x, y)
 
         else:
-            groups = [
-                blocks[i :: self.intra_op_workers]
-                for i in range(min(self.intra_op_workers, len(blocks)))
-            ] if self.intra_op_workers > 1 else [blocks]
-            if len(groups) > 1:
-                pool = self.pool
-                thunks = tuple(
-                    (lambda g=tuple(group), x=x2, y=y2: spmm_blocks(list(g), x, y))
-                    for group in groups
-                )
 
-                def main(pool=pool, thunks=thunks, fill=fill):
-                    fill()
-                    pool.run_all(thunks)
-
-            else:
-
-                def main(b=tuple(blocks), x=x2, y=y2, fill=fill):
-                    fill()
-                    spmm_blocks(list(b), x, y)
+            def main(m=kernels.conv_matrix(step.op, *geometry), x=x2, y=y2, fill=fill):
+                fill()
+                kernels.spmm_accumulate(m, x, y)
 
         self.emit(
             step.describe(),
@@ -542,8 +472,7 @@ class _Binder:
             ),
         )
         self._record(
-            step, kind="spmm", x2=x2, y2=y2, out=out, matrix=matrix,
-            c_out=step.op.c_out,
+            step, kind="spmm", x2=x2, y2=y2, out=out, conv=(step.op,) + geometry,
         )
         self.stats.sparse_ops += 1
 
@@ -551,36 +480,32 @@ class _Binder:
         x = self.resolve(step.inputs[0])
         out = self.define(step.output)
         n = self.batch
-        gather = step.attrs["gather"]
+        op = step.op
         weight = self._canon(step.attrs["weight"])
         c_out, ckk = weight.shape
-        plane = gather.shape[0] // ckk
-        x2 = x.reshape(-1, n)
-        y2 = out.reshape(c_out, plane * n)
-        cid, cols = self.scratch((gather.shape[0], n))
-        blocks = step.attrs.get("row_blocks")
+        c_in, _, _, ho, wo = geometry = conv_geometry(self.ir, step)
+        y2 = out.reshape(c_out, -1)
+        # im2col is data movement, not a pass decision: optimized and
+        # reference plans bind the same copies (borders re-zeroed per run,
+        # the column buffer is recycled arena scratch).
+        im2col = kernels.conv_csr_cached(op, "im2col", kernels.im2col_copies, *geometry)
+        cols_shape = (c_in, op.kh, op.kw, ho, wo, n)
+        cid, cols = self.scratch(cols_shape)
+        gather = im2col.bind(x, cols)
+        cols2 = cols.reshape(ckk, -1)
         beta = bool(step.attrs.get("beta_gemm") and step.epilogue)
-        bias = step.epilogue[0][1] if beta else None
+        if beta:
 
-        def run_gemm(c2, y=y2, W=weight, b=bias):
-            if b is None:
-                np.matmul(W, c2, out=y)
-            else:
+            def main(gather=gather, W=weight, c=cols2, y=y2, b=step.epilogue[0][1]):
+                gather()
                 np.copyto(y, b)
-                kernels.beta_gemm(W, c2, y)
-
-        if blocks is None:
-
-            def main(G=gather, x=x2, c=cols, gemm=run_gemm, ckk=ckk):
-                spmm(G, x, c)
-                gemm(c.reshape(ckk, -1))
+                kernels.beta_gemm(W, c, y)
 
         else:
 
-            def main(b=tuple(blocks), x=x2, c=cols, gemm=run_gemm, ckk=ckk):
-                c.fill(0.0)
-                spmm_blocks(list(b), x, c)
-                gemm(c.reshape(ckk, -1))
+            def main(gather=gather, W=weight, c=cols2, y=y2):
+                gather()
+                np.matmul(W, c, out=y)
 
         self.emit(
             step.describe(),
@@ -589,10 +514,9 @@ class _Binder:
             ),
         )
         self._record(
-            step, kind="gather_gemm", x2=x2, y2=y2, out=out,
-            gather=gather, weight=weight, ckk=ckk, plane=plane,
+            step, kind="gather_gemm", x2=x, y2=y2, out=out,
+            weight=weight, im2col=im2col, cols_shape=cols_shape,
         )
-        self.stats.sparse_ops += 1
         self.stats.gemm_ops += 1
         self.arena.release(cid)
 
@@ -872,20 +796,19 @@ class PlanTemplate:
         self.ir = lower_template(session, image_shape)
         if self.optimize:
             run_shared_passes(self.ir, self.stats, self.disabled)
-        self._dw_verdicts: Dict[Tuple[int, int, int], dict] = {}
 
     def instantiate(
         self, batch: int, stats: Optional[PlanStats] = None,
-        l2_bytes: int = L2_BUDGET_BYTES, intra_op_workers: int = 1, probe: bool = True,
+        l2_bytes: int = L2_BUDGET_BYTES,
     ) -> PlanIR:
-        """The optimized IR at ``batch``, ready to bind (``probe=False``:
-        the deterministic form provenance digests hash)."""
+        """The optimized IR at ``batch``, ready to bind — a pure function
+        of the template, ``batch`` and ``l2_bytes``, so the text
+        provenance digests hash is the text of the plan that runs."""
         ir = self.ir.rebatch(batch)
         if self.optimize:
             run_batch_passes(
                 ir, PlanStats() if stats is None else stats, l2_bytes=l2_bytes,
-                intra_op_workers=intra_op_workers, probe=probe,
-                disabled=self.disabled, verdicts=self._dw_verdicts,
+                disabled=self.disabled,
             )
         return ir
 
@@ -901,7 +824,8 @@ class ExecutionPlan:
     against a private :class:`BufferArena`.  ``run`` executes the bound
     steps and writes results either into caller-provided output arrays
     (``out=``) or into plan-owned row-major result buffers (valid until
-    the next ``run``).
+    the next ``run``).  ``probe`` is accepted and ignored (it used to
+    switch off a timing-based kernel probe that no longer exists).
     """
 
     def __init__(
@@ -909,13 +833,12 @@ class ExecutionPlan:
         session: InferenceSession,
         batch_shape: Tuple[int, ...],
         optimize: bool = True,
-        pool: Optional[_WorkerPool] = None,
-        intra_op_workers: int = 1,
         l2_bytes: int = L2_BUDGET_BYTES,
         probe: bool = True,
         disabled_passes: Tuple[str, ...] = (),
         template: Optional[PlanTemplate] = None,
     ):
+        del probe
         self.session = session
         self.batch_shape = tuple(int(s) for s in batch_shape)
         if template is None:
@@ -926,14 +849,10 @@ class ExecutionPlan:
         self.arena = BufferArena()
         self.stats = template.stats.merged(PlanStats(num_plans=1))
         self.ir = template.instantiate(
-            self.batch_shape[0], self.stats, l2_bytes=l2_bytes,
-            intra_op_workers=intra_op_workers, probe=probe,
+            self.batch_shape[0], self.stats, l2_bytes=l2_bytes
         )
 
-        binder = _Binder(
-            self.ir, self.arena, self.stats,
-            pool=pool, intra_op_workers=intra_op_workers,
-        )
+        binder = _Binder(self.ir, self.arena, self.stats)
         in_array = binder.define(self.ir.input)
         binder.bind()
         self._steps = binder.steps
@@ -1006,8 +925,7 @@ class ExecutionPlan:
             f"{stats.aliased_views} view(s) aliased, "
             f"{stats.folded_affines} affine(s) folded exactly, "
             f"{stats.layout_repacks} operand(s) repacked, "
-            f"{stats.depthwise_grouped_ops + stats.depthwise_stencil_ops} "
-            f"depthwise rewrite(s) ({stats.depthwise_probes} probed), "
+            f"{stats.depthwise_rows_ops} depthwise step(s) on row vectors, "
             f"{stats.blocked_spmm_ops} blocked SpMM(s) "
             f"({stats.spmm_row_blocks} row blocks)",
         ]
@@ -1019,22 +937,13 @@ class ExecutionPlan:
             flops, nbytes = estimate_step_cost(self.ir, step)
             passes = step.attrs.get("passes") or []
             provenance = ",".join(passes) if passes else "lower"
-            dw = step.attrs.get("dw_kernel")
-            if dw:
-                provenance += f"->{dw}"
-            probe = step.attrs.get("dw_probe")
-            if probe and not dw:
-                provenance += "->csr(probed)"
+            if "dw_rows" in step.attrs:
+                provenance += f"->rows(x{step.attrs['dw_rows']} planes)"
             note = " (copy elided, in place)" if step.attrs.get("elided") else ""
             lines.append(
                 f"{label}{note}  "
                 f"[~{flops / 1e6:.1f} MFLOP, {nbytes / 2**20:.2f} MiB | {provenance}]"
             )
-            if probe:
-                times = ", ".join(
-                    f"{name}={ms:.2f}ms" for name, ms in probe["times_ms"].items()
-                )
-                lines.append(f"    probe: winner={probe['winner']} ({times})")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -1068,10 +977,7 @@ class PlannedExecutor:
     by all worker shards) instead of tracing and lowering again.
 
     With ``num_workers > 1`` the batch is split along dim 0 and the
-    shards execute concurrently on a persistent thread pool; with
-    ``intra_op=True`` the batch stays whole and eligible steps split
-    their *output rows* across the same pool instead (the lone-request
-    latency lever — no speedup on 1-core hosts, by design of the host).
+    shards execute concurrently on a persistent thread pool.
 
     Outputs are executor-owned buffers overwritten by the next ``run``;
     pass ``copy_outputs=True`` to hand back private copies instead (the
@@ -1085,7 +991,6 @@ class PlannedExecutor:
         copy_outputs: bool = False,
         max_plans: int = 8,
         optimize: bool = True,
-        intra_op: bool = False,
         compute: str = "float32",
     ):
         if num_workers < 1:
@@ -1101,7 +1006,6 @@ class PlannedExecutor:
         self.copy_outputs = copy_outputs
         self.max_plans = int(max_plans)
         self.optimize = bool(optimize)
-        self.intra_op = bool(intra_op)
         self.compute = compute
         self._prepared: "OrderedDict[Tuple[int, ...], _PreparedBatch]" = OrderedDict()
         self._templates: "OrderedDict[Tuple[int, ...], PlanTemplate]" = OrderedDict()
@@ -1133,10 +1037,10 @@ class PlannedExecutor:
             return template
 
     def plan_ir(self, batch_shape: Tuple[int, ...]) -> PlanIR:
-        """The IR a plan for ``batch_shape`` binds, minus the timing-based
-        depthwise probe — pure IR work, no arena.  Raises ``Unplannable``."""
+        """The IR an unsharded plan for ``batch_shape`` binds — pure IR
+        work, no arena.  Raises ``Unplannable``."""
         template = self._template(tuple(int(s) for s in batch_shape[1:]))
-        return template.instantiate(batch_shape[0], probe=False)
+        return template.instantiate(batch_shape[0])
 
     def _prepare(self, shape: Tuple[int, ...]) -> _PreparedBatch:
         prepared = self._prepared.get(shape)
@@ -1145,30 +1049,21 @@ class PlannedExecutor:
             return prepared
         n = shape[0]
         template = self._template(tuple(shape[1:]))
-        if self.intra_op and self.num_workers > 1:
-            if self._pool is None:  # closed earlier: rebuild on demand
-                self._pool = _WorkerPool(self.num_workers)
-            plan = self._wrap(ExecutionPlan(
-                self.session, shape, pool=self._pool,
-                intra_op_workers=self.num_workers, template=template,
-            ))
-            parts = [(slice(0, n), plan)]
-        else:
-            workers = max(1, min(self.num_workers, n))
-            bounds = np.linspace(0, n, workers + 1).astype(int)
-            parts = []
-            for index in range(workers):
-                lo, hi = int(bounds[index]), int(bounds[index + 1])
-                if hi > lo:
-                    shard_shape = (hi - lo,) + tuple(shape[1:])
-                    parts.append(
-                        (
-                            slice(lo, hi),
-                            self._wrap(ExecutionPlan(
-                                self.session, shard_shape, template=template
-                            )),
-                        )
+        workers = max(1, min(self.num_workers, n))
+        bounds = np.linspace(0, n, workers + 1).astype(int)
+        parts = []
+        for index in range(workers):
+            lo, hi = int(bounds[index]), int(bounds[index + 1])
+            if hi > lo:
+                shard_shape = (hi - lo,) + tuple(shape[1:])
+                parts.append(
+                    (
+                        slice(lo, hi),
+                        self._wrap(ExecutionPlan(
+                            self.session, shard_shape, template=template
+                        )),
                     )
+                )
         sample = parts[0][1]
         if len(parts) == 1:
             outputs = None  # single shard returns its own result buffers
@@ -1229,7 +1124,6 @@ class PlannedExecutor:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-            self._prepared.clear()  # sharded plans expect a live pool
 
     def __enter__(self) -> "PlannedExecutor":
         return self
@@ -1265,8 +1159,7 @@ class PlannedExecutor:
         header = (
             f"PlannedExecutor(workers={self.num_workers}, "
             f"plans={sum(len(p.parts) for p in self._prepared.values())}, "
-            f"optimize={self.optimize}, intra_op={self.intra_op}, "
-            f"compute={self.compute})"
+            f"optimize={self.optimize}, compute={self.compute})"
         )
         return "\n".join([header, self.session.describe()])
 

@@ -22,8 +22,9 @@ three phases:
 Step kinds
 ----------
 ``conv_gemm``        pointwise convolution as one contiguous GEMM
-``conv_spmm``        grouped/depthwise convolution as a weight-valued CSR
-``conv_gather_gemm`` dense-kernel convolution: 0/1 im2col CSR + GEMM
+``conv_spmm``        grouped/depthwise convolution (per-plane CSR, or the
+                     row-vector depthwise kernel after ``block_depthwise``)
+``conv_gather_gemm`` dense-kernel convolution: copy-based im2col + GEMM
 ``conv_rowwise``     scipy-less fallback (row layout round trip)
 ``gemm``             linear layer
 ``bias``             per-channel bias add, in place on the producer
@@ -39,7 +40,7 @@ Step kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,7 +62,7 @@ from ..fuse import (
     SqueezeExciteOp,
     _Op,
 )
-from .kernels import HAVE_SPARSE, conv_csr_cached, gather_csr, weight_csr
+from .kernels import HAVE_SPARSE, valid_taps
 
 __all__ = [
     "PlanIR",
@@ -71,6 +72,7 @@ __all__ = [
     "TRACE_BATCH",
     "lower_session",
     "lower_template",
+    "conv_geometry",
     "estimate_step_cost",
 ]
 
@@ -113,10 +115,10 @@ Epilogue = List[Tuple]
 # ---------------------------------------------------------------------------
 # Byte-stable plan dump helpers (digest material — determinism rules apply)
 # ---------------------------------------------------------------------------
-#: Attr keys that must never reach the digested plan dump: ``dw_probe``
-#: holds *measured* timings (never deterministic), ``kernel`` is a bound
-#: callable with no stable repr, and ``label`` already heads the line.
-_DIGEST_SUPPRESSED_ATTRS = frozenset({"dw_probe", "kernel", "label"})
+#: Attr keys that must never reach the digested plan dump: ``kernel`` is
+#: a bound callable with no stable repr, and ``label`` already heads the
+#: line.
+_DIGEST_SUPPRESSED_ATTRS = frozenset({"kernel", "label"})
 
 
 def _content_digest(array: np.ndarray) -> str:
@@ -131,27 +133,12 @@ def _array_summary(array: np.ndarray) -> str:
     return f"{array.dtype.str}{list(array.shape)}#{_content_digest(array)}"
 
 
-def _csr_summary(matrix) -> str:
-    import hashlib
-
-    from ...serve.cache.keys import canonical_bytes
-
-    hasher = hashlib.sha256()
-    for part in (matrix.data, matrix.indices, matrix.indptr):
-        hasher.update(canonical_bytes(np.asarray(part)))
-    return (
-        f"csr{list(matrix.shape)}nnz={int(matrix.nnz)}#{hasher.hexdigest()[:12]}"
-    )
-
-
 def _attr_summary(value: Any) -> str:
     """Render one attr value deterministically for the plan dump."""
     if isinstance(value, np.ndarray):
         return _array_summary(value)
     if isinstance(value, np.generic):
         return repr(value.item())
-    if hasattr(value, "indptr") and hasattr(value, "nnz"):
-        return _csr_summary(value)
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: str(kv[0]))
         return "{" + ",".join(f"{k}:{_attr_summary(v)}" for k, v in items) + "}"
@@ -159,10 +146,8 @@ def _attr_summary(value: Any) -> str:
         return "[" + ",".join(_attr_summary(v) for v in value) + "]"
     if isinstance(value, (bool, int, float, str)) or value is None:
         return repr(value)
-    row = getattr(value, "lo", getattr(value, "row_lo", None))
-    if row is not None:
-        hi = getattr(value, "hi", getattr(value, "row_hi", None))
-        return f"{type(value).__name__}[{int(row)}:{int(hi)}]"
+    if hasattr(value, "lo") and hasattr(value, "hi"):
+        return f"{type(value).__name__}[{int(value.lo)}:{int(value.hi)}]"
     if callable(value):
         return "<fn>"
     return f"<{type(value).__name__}>"
@@ -259,8 +244,13 @@ class PlanIR:
             ValueInfo(v.vid, (batch,) + v.row_shape[1:], v.alias_of)
             for v in self.values
         ]
+        # Spelled out, not dataclasses.replace: this runs per step on every
+        # bind of a new batch size, and replace() costs 3x the constructor.
         ir.steps = [
-            replace(step, attrs=dict(step.attrs), epilogue=list(step.epilogue))
+            Step(
+                step.kind, step.op, step.inputs, step.output,
+                dict(step.attrs), list(step.epilogue), step.in_place,
+            )
             for step in self.steps
         ]
         ir.input = self.input
@@ -275,10 +265,9 @@ class PlanIR:
         keys and the :mod:`repro.attest` golden registry both hash it,
         so it must be a pure function of the plan's *structure and
         weights* — attrs render in sorted key order, arrays render as
-        ``dtype[shape]#content-digest``, and anything measured rather
-        than derived (the ``dw_probe`` timing table, callables) is
-        suppressed.  Two processes lowering the same session must
-        produce identical bytes.
+        ``dtype[shape]#content-digest``, and callables are suppressed.
+        Nothing in a plan is measured, so two processes lowering the
+        same session must produce identical bytes.
         """
         lines = [f"plan-ir batch={list(self.batch_shape)}"]
         outs = " ".join(
@@ -312,6 +301,14 @@ class PlanIR:
         return "\n".join(lines)
 
 
+def conv_geometry(ir: "PlanIR", step: "Step") -> Tuple[int, int, int, int, int]:
+    """``(c_in, h, w, ho, wo)`` of a conv step, read off its values — the
+    key of the constructions :func:`kernels.conv_csr_cached` shares."""
+    c_in, h, w = ir.values[step.inputs[0]].row_shape[1:]
+    _, ho, wo = ir.values[step.output].row_shape[1:]
+    return c_in, h, w, ho, wo
+
+
 # ---------------------------------------------------------------------------
 # Per-step cost estimates (for plan describe; not used for any decision)
 # ---------------------------------------------------------------------------
@@ -326,9 +323,11 @@ def estimate_step_cost(ir: "PlanIR", step: "Step") -> Tuple[int, int]:
     """Rough (flops, bytes-moved) estimate for one bound step.
 
     Estimates only — multiply-add counted as 2 flops, epilogue entries
-    as one pass over the output each, sparse matrices charged their CSR
-    byte size.  Good enough to rank steps in ``repro plan describe``;
-    never used to pick kernels (the probe measures instead).
+    as one pass over the output each, per-plane CSRs charged their byte
+    size (counted from the geometry: the matrix itself is only built
+    where it runs), slab and column buffers one write and one read.
+    Good enough to rank steps in ``repro plan describe``; never used to
+    pick kernels (``block_depthwise`` decides from the geometry alone).
     """
     n = ir.batch
     out_e = _elems(ir.values[step.output].row_shape, n)
@@ -343,17 +342,19 @@ def estimate_step_cost(ir: "PlanIR", step: "Step") -> Tuple[int, int]:
         flops = 2 * weight.shape[0] * weight.shape[1] * (out_e // weight.shape[0])
         nbytes += weight.nbytes
     elif kind == "conv_spmm":
-        matrix = step.attrs["matrix"]
-        flops = 2 * matrix.nnz * n
-        nbytes += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        op = step.op
+        c_in, h, w, ho, wo = conv_geometry(ir, step)
+        nnz = op.c_out * op.c_in_g * valid_taps(op, h, w, ho, wo)
+        flops = 2 * nnz * n
+        if "dw_rows" in step.attrs:
+            nbytes += 2 * c_in * op.kw * h * wo * n * 4
+        else:
+            nbytes += nnz * 8 + (op.c_out * ho * wo + 1) * 4
     elif kind == "conv_gather_gemm":
-        gather = step.attrs["gather"]
         weight = step.attrs["weight"]
-        cols_e = gather.shape[0] * n
-        flops = 2 * gather.nnz * n + 2 * weight.shape[0] * weight.shape[1] * (
-            out_e // weight.shape[0]
-        )
-        nbytes += gather.data.nbytes + gather.indices.nbytes + 2 * cols_e * 4
+        plane_e = out_e // weight.shape[0]
+        flops = 2 * weight.shape[0] * weight.shape[1] * plane_e
+        nbytes += weight.nbytes + 2 * weight.shape[1] * plane_e * 4
     elif kind in ("max_pool", "avg_pool"):
         flops = out_e * step.attrs["kh"] * step.attrs["kw"]
     elif kind == "global_avg_pool":
@@ -438,8 +439,11 @@ def _emit_fused_act(ir: PlanIR, op: _Op, value: int) -> int:
 
 
 def _lower_conv(ir: PlanIR, op: ConvOp, value: int, out_row) -> int:
-    c_in, h, w = ir.values[value].row_shape[1:]
-    c_out, ho, wo = out_row[1:]
+    c_in = ir.values[value].row_shape[1]
+    c_out = out_row[1]
+    # The plan text must pin what the weights alone do not: neither the
+    # per-plane CSR nor the copy plan is built (or hashed) at lowering.
+    window = (op.sh, op.sw, op.ph, op.pw)
     pointwise = (
         op.kh == 1 and op.kw == 1 and op.groups == 1
         and not (op.ph or op.pw) and op.sh == 1 and op.sw == 1
@@ -466,23 +470,21 @@ def _lower_conv(ir: PlanIR, op: ConvOp, value: int, out_row) -> int:
         return out
     elif op.groups > 1:
         out = ir.new_value(out_row)
-        matrix = conv_csr_cached(op, "weight", weight_csr, c_in, h, w, ho, wo)
         ir.emit(
             Step(
                 "conv_spmm", op, (value,), out,
-                attrs={"matrix": matrix, "label": "conv:spmm"},
+                attrs={"weight": op.weight, "window": window, "label": "conv:spmm"},
             )
         )
     else:
         out = ir.new_value(out_row)
-        gather = conv_csr_cached(op, "gather", gather_csr, c_in, h, w, ho, wo)
         weight = np.ascontiguousarray(op.weight.reshape(c_out, -1))
         ir.emit(
             Step(
                 "conv_gather_gemm", op, (value,), out,
                 attrs={
-                    "gather": gather,
                     "weight": weight,
+                    "window": (op.kh, op.kw) + window,
                     "label": "conv:gather+gemm",
                 },
             )

@@ -4,8 +4,10 @@ Everything here operates on caller-owned storage — the binder hands in
 arena views and the kernels write results with ``out=`` / in place, so
 steady-state execution allocates nothing.  The module also owns the
 plan-time constructions: CSR lowering of convolutions, L2-sized row
-blocking of those matrices, and the tiny mean-weight vectors that turn
-axis reductions into GEMMs.
+blocking of those matrices, the strided-copy plans that unroll a conv's
+kernel taps (im2col as data movement, :class:`TapCopies`), the
+row-vector depthwise kernel built on them (:class:`DepthwiseRows`), and
+the tiny mean-weight vectors that turn axis reductions into GEMMs.
 
 Two kernel families exist for the operations the optimizer tunes:
 
@@ -44,21 +46,20 @@ HAVE_BLAS = _blas is not None
 __all__ = [
     "HAVE_BLAS",
     "HAVE_SPARSE",
-    "spmm",
     "spmm_accumulate",
     "spmm_blocks",
     "pack_row_blocks",
     "weight_csr",
-    "gather_csr",
     "conv_csr_cached",
+    "conv_matrix",
+    "valid_taps",
+    "TapCopies",
+    "im2col_copies",
+    "DepthwiseRows",
     "mean_weights",
     "beta_gemm",
     "apply_act",
     "SCRATCH_ACTS",
-    "DepthwiseGroup",
-    "DepthwiseStencil",
-    "pack_depthwise_groups",
-    "spmm_depthwise_groups",
 ]
 
 
@@ -95,12 +96,6 @@ def spmm_accumulate(matrix, x2d: np.ndarray, out2d: np.ndarray) -> None:
         x2d.reshape(-1),
         out2d.reshape(-1),
     )
-
-
-def spmm(matrix, x2d: np.ndarray, out2d: np.ndarray) -> None:
-    """``out2d[...] = matrix @ x2d`` without allocating the result."""
-    out2d.fill(0.0)
-    spmm_accumulate(matrix, x2d, out2d)
 
 
 class RowBlock:
@@ -163,151 +158,6 @@ def spmm_blocks(
 
 
 # ---------------------------------------------------------------------------
-# Depthwise-specific kernels: block-diagonal plane groups + padded-slab
-# stencil (plan-time constructions; runtime is allocation-free)
-# ---------------------------------------------------------------------------
-class DepthwiseGroup:
-    """A block-diagonal slice of a depthwise CSR covering planes [p0, p1).
-
-    A depthwise conv's CSR is block diagonal: output plane ``p`` only
-    reads input plane ``p``.  Slicing a plane *group* out of the cached
-    full matrix and rebasing its column indices yields a small standalone
-    CSR whose input slice, output slice and matrix slice are sized to
-    stay L2-resident together — the same amortisation the row-blocked
-    SpMM pass applies, but cutting the *input* working set too.
-
-    ``indptr``/``indices`` are small rebased copies made at plan time;
-    ``data`` is a zero-copy view, so the entries (values *and* their
-    order) are exactly the full matrix's — ``csr_matvecs`` therefore
-    produces bit-identical sums to the unsliced call.
-    """
-
-    __slots__ = ("indptr", "indices", "data", "row_lo", "row_hi", "col_lo", "col_hi")
-
-    def __init__(self, matrix, p0: int, p1: int, plane_out: int, plane_in: int):
-        self.row_lo, self.row_hi = p0 * plane_out, p1 * plane_out
-        self.col_lo, self.col_hi = p0 * plane_in, p1 * plane_in
-        start = int(matrix.indptr[self.row_lo])
-        end = int(matrix.indptr[self.row_hi])
-        self.indptr = np.ascontiguousarray(
-            matrix.indptr[self.row_lo : self.row_hi + 1] - start
-        )
-        self.indices = np.ascontiguousarray(matrix.indices[start:end] - self.col_lo)
-        self.data = matrix.data[start:end]
-
-    def run(self, x2d: np.ndarray, out2d: np.ndarray) -> None:
-        """Accumulate this group's planes into ``out2d`` (pre-filled)."""
-        _sparsetools.csr_matvecs(
-            self.row_hi - self.row_lo,
-            self.col_hi - self.col_lo,
-            out2d.shape[1],
-            self.indptr,
-            self.indices,
-            self.data,
-            x2d[self.col_lo : self.col_hi].reshape(-1),
-            out2d[self.row_lo : self.row_hi].reshape(-1),
-        )
-
-
-def pack_depthwise_groups(
-    matrix, channels: int, plane_in: int, plane_out: int, planes_per_group: int
-) -> List[DepthwiseGroup]:
-    """Split a depthwise CSR into block-diagonal groups of whole planes."""
-    step = max(1, planes_per_group)
-    return [
-        DepthwiseGroup(matrix, p0, min(channels, p0 + step), plane_out, plane_in)
-        for p0 in range(0, channels, step)
-    ]
-
-
-def spmm_depthwise_groups(
-    groups: List[DepthwiseGroup], x2d: np.ndarray, out2d: np.ndarray
-) -> None:
-    """Group-blocked ``out2d += A @ x2d`` (``out2d`` already pre-filled)."""
-    for group in groups:
-        group.run(x2d, out2d)
-
-
-class DepthwiseStencil:
-    """Depthwise conv as per-tap multiply-accumulate over a padded slab.
-
-    For a group of planes the input is copied once into a zero-padded
-    contiguous scratch ``(g, h+2ph, w+2pw, n)``; each of the ``kh*kw``
-    taps is then one uniform strided ``multiply`` + one contiguous
-    ``add`` over the whole group — ``2*kh*kw`` numpy calls per group
-    instead of one ``csr_matvecs`` row walk, which measures ~2x faster
-    on large stride-1 planes and *slower* on strided/small ones (the
-    plan-time probe in :func:`passes.block_depthwise` decides per step).
-
-    Tap order ``(ki, kj)`` matches the CSR's sorted column order, so the
-    accumulation sequence is the same as ``csr_matvecs``; padded taps
-    add exact zeros the CSR drops.  The result is observed bit-identical
-    on probe inputs (the pass requires exact equality before selecting
-    this kernel) but not structurally guaranteed, unlike
-    :class:`DepthwiseGroup`.
-    """
-
-    __slots__ = (
-        "channels", "h", "w", "ho", "wo", "kh", "kw", "sh", "sw", "ph", "pw",
-        "hp", "wp", "eh", "ew", "group", "weight",
-    )
-
-    def __init__(self, op, h: int, w: int, ho: int, wo: int, group: int):
-        self.channels = op.c_out
-        self.h, self.w, self.ho, self.wo = h, w, ho, wo
-        self.kh, self.kw, self.sh, self.sw = op.kh, op.kw, op.sh, op.sw
-        self.ph, self.pw = op.ph, op.pw
-        self.hp, self.wp = h + 2 * op.ph, w + 2 * op.pw
-        self.eh = (ho - 1) * op.sh + 1
-        self.ew = (wo - 1) * op.sw + 1
-        self.group = max(1, min(self.channels, group))
-        self.weight = np.ascontiguousarray(
-            op.weight.reshape(self.channels, op.kh, op.kw), dtype=np.float32
-        )
-
-    def scratch_shapes(self, batch: int):
-        """(padded-slab shape, multiply-scratch shape) for one group."""
-        return (
-            (self.group, self.hp, self.wp, batch),
-            (self.group, self.ho, self.wo, batch),
-        )
-
-    def run(self, x: np.ndarray, y: np.ndarray, pad: np.ndarray, mul: np.ndarray) -> None:
-        """``y += conv(x)`` per plane; ``y`` arrives pre-filled (bias/zero).
-
-        ``x`` is ``(c, h, w, n)``, ``y`` is ``(c, ho, wo, n)``; ``pad`` and
-        ``mul`` are caller-owned scratch of :meth:`scratch_shapes` — their
-        borders may hold garbage from arena reuse, so the pad border is
-        re-zeroed here (four thin slabs, negligible next to the taps).
-        """
-        if self.ph:
-            pad[:, : self.ph].fill(0.0)
-            pad[:, self.hp - self.ph :].fill(0.0)
-        if self.pw:
-            pad[:, :, : self.pw].fill(0.0)
-            pad[:, :, self.wp - self.pw :].fill(0.0)
-        interior = pad[:, self.ph : self.ph + self.h, self.pw : self.pw + self.w, :]
-        for p0 in range(0, self.channels, self.group):
-            p1 = min(self.channels, p0 + self.group)
-            g = p1 - p0
-            np.copyto(interior[:g], x[p0:p1])
-            xg = pad[:g]
-            yg = y[p0:p1]
-            sc = mul[:g]
-            for ki in range(self.kh):
-                for kj in range(self.kw):
-                    xs = xg[
-                        :,
-                        ki : ki + self.eh : self.sh,
-                        kj : kj + self.ew : self.sw,
-                        :,
-                    ]
-                    wv = self.weight[p0:p1, ki, kj].reshape(-1, 1, 1, 1)
-                    np.multiply(xs, wv, out=sc)
-                    np.add(yg, sc, out=yg)
-
-
-# ---------------------------------------------------------------------------
 # Sparse lowering of convolutions (plan-time, cached per geometry)
 # ---------------------------------------------------------------------------
 def weight_csr(op, c_in: int, h: int, w: int, ho: int, wo: int):
@@ -344,47 +194,203 @@ def weight_csr(op, c_in: int, h: int, w: int, ho: int, wo: int):
     return matrix
 
 
-def gather_csr(op, c_in: int, h: int, w: int, ho: int, wo: int):
-    """0/1 CSR gathering im2col rows: (c_in*kh*kw*ho*wo, c_in*h*w)."""
-    kh, kw = op.kh, op.kw
-    ci = np.arange(c_in).reshape(-1, 1, 1, 1, 1)
-    ki = np.arange(kh).reshape(1, -1, 1, 1, 1)
-    kj = np.arange(kw).reshape(1, 1, -1, 1, 1)
-    oi = np.arange(ho).reshape(1, 1, 1, -1, 1)
-    oj = np.arange(wo).reshape(1, 1, 1, 1, -1)
-    in_i = oi * op.sh + ki - op.ph
-    in_j = oj * op.sw + kj - op.pw
-    shape5 = (c_in, kh, kw, ho, wo)
-    valid = np.broadcast_to(
-        (in_i >= 0) & (in_i < h) & (in_j >= 0) & (in_j < w), shape5
-    )
-    rows = np.broadcast_to(
-        (((ci * kh + ki) * kw + kj) * ho + oi) * wo + oj, shape5
-    )[valid]
-    cols = np.broadcast_to((ci * h + in_i) * w + in_j, shape5)[valid]
-    matrix = _sparse.csr_matrix(
-        (np.ones(rows.size, dtype=np.float32), (rows, cols)),
-        shape=(c_in * kh * kw * ho * wo, c_in * h * w),
-        dtype=np.float32,
-    )
-    matrix.sort_indices()
-    return matrix
-
-
 def conv_csr_cached(op, kind: str, builder, c_in, h, w, ho, wo):
-    """Build (or fetch) a conv's CSR.  The matrices are independent of the
-    batch size, so worker shards and re-plans for new batch sizes share
-    one matrix per input geometry."""
+    """Build (or fetch) one of a conv's plan-time constructions (its CSR,
+    row CSR or copy plan).  They are independent of the batch size, so
+    worker shards and re-plans for new batch sizes share one per input
+    geometry."""
     cache = getattr(op, "_engine_csr_cache", None)
     if cache is None:
         cache = {}
         op._engine_csr_cache = cache
     key = (kind, h, w)
-    matrix = cache.get(key)
-    if matrix is None:
-        matrix = builder(op, c_in, h, w, ho, wo)
-        cache[key] = matrix
-    return matrix
+    built = cache.get(key)
+    if built is None:
+        built = builder(op, c_in, h, w, ho, wo)
+        cache[key] = built
+    return built
+
+
+def conv_matrix(op, c_in, h, w, ho, wo):
+    """The conv's whole-linear-map CSR, built on first use: lowering does
+    not need it, only the steps that run per-plane CSR (and quant8) do."""
+    return conv_csr_cached(op, "weight", weight_csr, c_in, h, w, ho, wo)
+
+
+# ---------------------------------------------------------------------------
+# im2col as data movement + the row-vector depthwise kernel built on it
+# ---------------------------------------------------------------------------
+def _tap_span(tap: int, stride: int, pad: int, size: int, out: int):
+    """``(lo, hi, first)``: outputs ``lo..hi-1`` read inside the input
+    through kernel tap ``tap``, and output ``lo`` reads input ``first``."""
+    lo = min(out, max(0, -((tap - pad) // stride)))
+    hi = max(lo, min(out, (size - 1 + pad - tap) // stride + 1))
+    return lo, hi, lo * stride + tap - pad
+
+
+def valid_taps(op, h: int, w: int, ho: int, wo: int) -> int:
+    """(output pixel, kernel tap) pairs of one plane that read inside the
+    input — :func:`weight_csr`'s entry count per channel pair."""
+
+    def along(kernel, stride, pad, size, out):
+        spans = (_tap_span(tap, stride, pad, size, out) for tap in range(kernel))
+        return sum(hi - lo for lo, hi, _ in spans)
+
+    return along(op.kh, op.sh, op.ph, h, ho) * along(op.kw, op.sw, op.pw, w, wo)
+
+
+def _records(array: np.ndarray) -> np.ndarray:
+    """View ``(..., n)`` storage as ``(...)`` opaque ``n``-element records.
+
+    A strided gather then moves one ``4n``-byte pixel per element instead
+    of running an ``n``-float inner loop per pixel (10x faster at
+    ``n = 2``); the dtype does not matter, so int32 buffers work too.
+    """
+    record = np.dtype((np.void, array.itemsize * array.shape[-1]))
+    return array.view(record)[..., 0]
+
+
+class TapCopies:
+    """A conv's kernel taps unrolled by strided copies — im2col without
+    the 0/1 gather matrix.
+
+    ``dst[c, ki, kj, i, j] = src[c, i*sh + ki - ph, j*sw + kj - pw]``
+    (zero outside the input) for ``src`` of ``(C, h, w, n)`` and ``dst`` of
+    ``(C, kh, kw, ho, wo, n)``: one copy per tap plus the thin borders the
+    padding leaves.  The plan holds index tuples only — it depends on the
+    geometry, not on ``C`` or the batch — so :meth:`bind` just slices.
+    """
+
+    __slots__ = ("copies", "borders")
+
+    def __init__(self, kh, kw, sh, sw, ph, pw, h, w, ho, wo):
+        rows = [_tap_span(ki, sh, ph, h, ho) for ki in range(kh)]
+        cols = [_tap_span(kj, sw, pw, w, wo) for kj in range(kw)]
+        every = slice(None)
+        self.copies = [
+            (
+                (every, ki, kj, slice(ilo, ihi), slice(jlo, jhi)),
+                (
+                    every,
+                    slice(i0, i0 + (ihi - ilo - 1) * sh + 1, sh),
+                    slice(j0, j0 + (jhi - jlo - 1) * sw + 1, sw),
+                ),
+            )
+            for ki, (ilo, ihi, i0) in enumerate(rows)
+            for kj, (jlo, jhi, j0) in enumerate(cols)
+            if ihi > ilo and jhi > jlo
+        ]
+        self.borders = []
+        for ki, (ilo, ihi, _) in enumerate(rows):
+            for edge in (slice(0, ilo), slice(ihi, ho)):
+                if edge.stop > edge.start:
+                    self.borders.append((every, ki, every, edge))
+        for kj, (jlo, jhi, _) in enumerate(cols):
+            for edge in (slice(0, jlo), slice(jhi, wo)):
+                if edge.stop > edge.start:
+                    self.borders.append((every, every, kj, every, edge))
+
+    def bind(self, src: np.ndarray, dst: np.ndarray, zero_borders: bool = True):
+        """A closure filling caller-owned ``dst`` from ``src``.  ``dst`` is
+        scratch that may hold garbage, so the borders are re-zeroed on
+        every run unless the caller knows an earlier bind keeps them."""
+        src_r, dst_r = _records(src), _records(dst)
+        copies = [(dst_r[d], src_r[s]) for d, s in self.copies]
+        borders = [dst[b] for b in self.borders] if zero_borders else ()
+
+        def run():
+            for border in borders:
+                border.fill(0)
+            for target, source in copies:
+                np.copyto(target, source)
+
+        return run
+
+
+def im2col_copies(op, c_in, h, w, ho, wo) -> TapCopies:
+    """The copy plan filling a dense conv's ``(c_in*kh*kw, ho*wo*n)``
+    column buffer (a :func:`conv_csr_cached` builder)."""
+    return TapCopies(op.kh, op.kw, op.sh, op.sw, op.ph, op.pw, h, w, ho, wo)
+
+
+class DepthwiseRows:
+    """Depthwise conv as a CSR over whole output *rows*.
+
+    Per-plane CSR runs ``csr_matvecs`` with ``n_vecs = batch``: one
+    ``axpy`` of length ``n`` per non-zero, ~1.2 ns per MAC at ``n = 2``.
+    Here the input is first gathered into ``kw`` column variants — a slab
+    ``(g, 1, kw, h, wo, n)`` per plane group, variant ``kj`` holding the
+    zero-padded columns ``kj, kj+sw, ...`` (:class:`TapCopies` with one
+    row tap) — and then a tiny CSR whose rows are output rows ``(c, i)``
+    and whose entries point at slab rows goes through the same
+    ``csr_matvecs`` with ``n_vecs = wo*n``, accumulating straight into
+    the pre-filled output.
+
+    Same products, same tap order ``(ki, kj)`` and the same rounded
+    multiply-then-add as :func:`weight_csr`'s sorted rows, so results are
+    ``np.array_equal``.  Taps on padded *rows* are dropped like the CSR
+    drops them; taps on padded *columns* add ``w * 0``, which can only
+    turn an accumulator that is exactly ``-0.0`` into ``+0.0`` — for
+    inputs and biases without negative zeros the bytes are equal too.
+
+    The index arrays are written for channel *slots*: a group of ``g``
+    planes uses their first ``g`` slots with its own slice of ``data``,
+    so one instance serves every group size and batch.
+    """
+
+    __slots__ = (
+        "channels", "ho", "wo", "kw", "h", "entries", "indptr", "indices",
+        "data", "taps",
+    )
+
+    def __init__(self, op, c_in, h, w, ho, wo):
+        c, kh, kw = op.c_out, op.kh, op.kw
+        self.channels, self.ho, self.wo, self.kw, self.h = c, ho, wo, kw, h
+        i = np.arange(ho).reshape(-1, 1, 1)
+        ki = np.arange(kh).reshape(1, -1, 1)
+        kj = np.arange(kw).reshape(1, 1, -1)
+        in_i = i * op.sh + ki - op.ph
+        valid = np.broadcast_to((in_i >= 0) & (in_i < h), (ho, kh, kw))
+        slab_row = np.broadcast_to(kj * h + in_i, (ho, kh, kw))[valid]
+        self.entries = slab_row.size  # per channel
+        slot = np.arange(c).reshape(-1, 1) * (kw * h)
+        self.indices = np.ascontiguousarray(slot + slab_row, dtype=np.int32).reshape(-1)
+        weight = np.broadcast_to(op.weight.reshape(c, 1, kh, kw), (c, ho, kh, kw))
+        self.data = np.ascontiguousarray(weight[:, valid], dtype=np.float32).reshape(-1)
+        per_row = np.tile(valid.reshape(ho, -1).sum(axis=1), c)
+        self.indptr = np.concatenate(([0], np.cumsum(per_row))).astype(np.int32)
+        self.taps = TapCopies(1, kw, 1, op.sw, 0, op.pw, h, w, h, wo)
+
+    def slab_shape(self, group: int, batch: int):
+        return (group, 1, self.kw, self.h, self.wo, batch)
+
+    def bind(self, x: np.ndarray, y: np.ndarray, slab: np.ndarray):
+        """A closure running ``y += conv(x)`` plane group by plane group.
+
+        ``x`` is ``(c, h, w, n)``, ``y`` is ``(c, ho, wo, n)`` and arrives
+        pre-filled (bias or zero); ``slab`` is caller-owned scratch of
+        :meth:`slab_shape` whose leading dim is the group size.
+        """
+        group, n = slab.shape[0], x.shape[-1]
+        ho, entries, slab_rows = self.ho, self.entries, self.kw * self.h
+        calls = []
+        for p0 in range(0, self.channels, group):
+            p1 = min(self.channels, p0 + group)
+            g = p1 - p0
+            gather = self.taps.bind(x[p0:p1], slab[:g], zero_borders=p0 == 0)
+            calls.append((gather, (
+                g * ho, g * slab_rows, self.wo * n,
+                self.indptr[: g * ho + 1], self.indices[: g * entries],
+                self.data[p0 * entries : p1 * entries],
+                slab[:g].reshape(-1), y[p0:p1].reshape(-1),
+            )))
+
+        def run():
+            for gather, args in calls:
+                gather()
+                _sparsetools.csr_matvecs(*args)
+
+        return run
 
 
 # ---------------------------------------------------------------------------

@@ -19,25 +19,25 @@ pipeline (:func:`run_passes`) is:
    biases folded into ``sgemm(beta=1)`` accumulators (bit-exact), and
    SpMM outputs pre-filled with the bias so the separate bias pass
    vanishes into the accumulate;
-4. :func:`block_spmm` — partitions plan-time CSR matrices into row
-   blocks sized to the L2 budget (aligned to output planes) so each
-   ``csr_matvecs`` call streams a bounded working set, and pre-packs the
-   block index structures at plan time.
+4. :func:`block_spmm` — partitions the per-plane CSR of grouped and
+   depthwise convolutions into row blocks sized to the L2 budget
+   (aligned to output planes) so each ``csr_matvecs`` call streams a
+   bounded working set, and pre-packs the block index structures at
+   plan time.
 
 Between kernel selection and SpMM blocking two further passes run:
 :func:`repack_layouts` canonicalizes every weight-like operand to
 C-contiguous float32 at plan time (folding lowering's transposed views
 into the stored weight) so GEMMs always hit the BLAS fast path without
 bind- or run-time ``ascontiguousarray`` copies, and
-:func:`block_depthwise` rewrites large depthwise SpMMs to the faster of
-three candidate kernels — per-plane CSR, block-diagonal plane groups, or
-a padded-slab stencil — decided by a plan-time micro-probe on the real
-shapes (measured winners only; losing candidates and their timings stay
-recorded on the step for audit).
+:func:`block_depthwise` moves depthwise SpMMs onto the row-vector kernel
+(:class:`kernels.DepthwiseRows`, bit-identical to per-plane CSR) where
+the step's geometry and batch say it wins — a pure function of the plan,
+nothing is timed.
 
 Passes mutate the IR in place, record what they did on the stats
 object (``fused_steps``, ``elided_copies``, ``folded_affines``,
-``layout_repacks``, ``depthwise_*``, ``blocked_spmm_ops``,
+``layout_repacks``, ``depthwise_rows_ops``, ``blocked_spmm_ops``,
 ``spmm_row_blocks``) and append their name to the rewritten step's
 ``attrs["passes"]`` so ``repro plan describe`` can attribute every
 kernel decision.
@@ -45,24 +45,16 @@ kernel decision.
 
 from __future__ import annotations
 
-import time
-from typing import Optional
-
 import numpy as np
 
 from . import kernels
-from .ir import PlanIR
-from .kernels import (
-    DepthwiseStencil,
-    pack_depthwise_groups,
-    pack_row_blocks,
-    spmm_depthwise_groups,
-)
+from .ir import PlanIR, conv_geometry
+from .kernels import pack_row_blocks
 
 __all__ = [
     "L2_BUDGET_BYTES",
-    "DW_PROBE_MIN_BYTES",
-    "DW_WIN_MARGIN",
+    "DW_ROWS_MIN_PLANE",
+    "DW_ROWS_MAX_BATCH_STRIDE",
     "run_passes",
     "run_shared_passes",
     "run_batch_passes",
@@ -79,18 +71,22 @@ __all__ = [
 #: planes stay resident while ``csr_matvecs`` streams the rows.
 L2_BUDGET_BYTES = 1 << 20
 
-#: Depthwise steps whose CSR is smaller than this skip the plan-time
-#: kernel probe and keep per-plane CSR: below it the candidates measure
-#: within noise of each other and probing every tiny plan (the test
-#: suite builds hundreds) would cost more than it could ever win.
-DW_PROBE_MIN_BYTES = 1 << 21
+#: Depthwise steps keep per-plane CSR unless their output plane has more
+#: pixels than this.  Steps on 8x8 and 4x4 planes are 0.03-0.1 ms: the
+#: kernel alone still measures 1.1-2.6x on 8x8 at stride 1, but every
+#: rewritten step adds a bind and a slab, and with them in the plan a
+#: 32px plan-churn cycle (bind + first run, batch 1..12) reads 22.6 ms
+#: instead of 22.2 and the arena grows 40 % at batch <= 4.  The sweep
+#: behind both constants is in docs/benchmarking.md ("PR 14").
+DW_ROWS_MIN_PLANE = 64
 
-#: A candidate must beat per-plane CSR by this factor on the probe to be
-#: selected — within the margin the incumbent wins (probe noise).
-DW_WIN_MARGIN = 1.10
-
-#: Probe repetitions per candidate (min-of-reps is the score).
-DW_PROBE_REPS = 3
+#: ... and unless ``batch * column stride`` stays below this.  Per-plane
+#: CSR amortises its per-non-zero cost over the batch (``n_vecs = n``)
+#: while the slab gather grows with it, and a strided gather moves
+#: ``4n``-byte records that numpy only copies fast up to 16 bytes: on
+#: planes above 64 pixels the rows kernel measures 1.1-7.1x below the
+#: line and 0.5-1.4x at and above it.
+DW_ROWS_MAX_BATCH_STRIDE = 16
 
 
 def _mark(step, name: str) -> None:
@@ -314,181 +310,53 @@ def repack_layouts(ir: PlanIR, stats) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pass 5: group-blocked / stencil depthwise (measured winner)
+# Pass 5: row-vector depthwise (decided by geometry)
 # ---------------------------------------------------------------------------
-def _depthwise_planes_per_group(
-    per_plane_bytes: int, channels: int, l2_bytes: int
-) -> int:
-    """Planes per group so one group's working set stays L2-resident."""
-    return max(1, min(channels, l2_bytes // max(1, per_plane_bytes)))
-
-
-def _probe_depthwise(matrix, groups, stencil, batch: int) -> dict:
-    """Time per-plane CSR against the two packed candidates on real shapes."""
-    rows, cols = matrix.shape
-    rng = np.random.default_rng(0xD3)
-    x2 = rng.standard_normal((cols, batch)).astype(np.float32)
-    y_ref = np.empty((rows, batch), dtype=np.float32)
-    y_try = np.empty((rows, batch), dtype=np.float32)
-    pad_shape, mul_shape = stencil.scratch_shapes(batch)
-    pad = np.zeros(pad_shape, dtype=np.float32)
-    mul = np.empty(mul_shape, dtype=np.float32)
-    x4 = x2.reshape(stencil.channels, stencil.h, stencil.w, batch)
-    y4_try = y_try.reshape(stencil.channels, stencil.ho, stencil.wo, batch)
-
-    def run_csr():
-        y_ref.fill(0.0)
-        kernels.spmm_accumulate(matrix, x2, y_ref)
-
-    def run_groups():
-        y_try.fill(0.0)
-        spmm_depthwise_groups(groups, x2, y_try)
-
-    def run_stencil():
-        y_try.fill(0.0)
-        stencil.run(x4, y4_try, pad, mul)
-
-    run_csr()
-    ref = y_ref.copy()
-    run_groups()
-    groups_exact = bool(np.array_equal(y_try, ref))
-    run_stencil()
-    stencil_exact = bool(np.array_equal(y_try, ref))
-
-    times = {}
-    for name, fn in (
-        ("csr", run_csr), ("group_csr", run_groups), ("stencil", run_stencil)
-    ):
-        best = float("inf")
-        for _ in range(DW_PROBE_REPS):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        times[name] = best * 1000.0
-
-    eligible = {"csr": times["csr"]}
-    if groups_exact:  # structurally guaranteed; belt and braces
-        eligible["group_csr"] = times["group_csr"]
-    if stencil_exact:
-        eligible["stencil"] = times["stencil"]
-    winner = min(eligible, key=eligible.get)
-    if winner != "csr" and times["csr"] < eligible[winner] * DW_WIN_MARGIN:
-        winner = "csr"  # within noise margin: the incumbent stays
-    return {
-        "times_ms": {k: round(v, 4) for k, v in times.items()},
-        "winner": winner,
-        "stencil_exact": stencil_exact,
-        "group_csr_exact": groups_exact,
-    }
-
-
 def block_depthwise(
-    ir: PlanIR,
-    stats,
-    batch: int,
-    l2_bytes: int = L2_BUDGET_BYTES,
-    probe: bool = True,
-    verdicts: Optional[dict] = None,
+    ir: PlanIR, stats, batch: int, l2_bytes: int = L2_BUDGET_BYTES
 ) -> None:
-    """Rewrite large depthwise SpMMs to the measured-fastest kernel.
+    """Move depthwise SpMMs onto the row-vector kernel where it wins.
 
-    Runs before :func:`block_spmm`; steps this pass rewrites are skipped
-    there (the group/stencil kernels already bound their working sets).
-    With ``probe=False`` (e.g. provenance digests, which must not depend
-    on timing noise) every step keeps per-plane CSR.
-
-    ``verdicts`` (the template's memo of probe records) lets a plan
-    rebuilt after an LRU eviction, or a second worker shard, reuse the
-    recorded winner instead of re-timing and maybe picking another
-    kernel; only a fresh timing counts as a ``depthwise_probes``.
+    Runs before :func:`block_spmm`, which skips the rewritten steps: the
+    plane groups chosen here (evened out, so no runt group) already keep
+    one group's slab and output L2-resident.
     """
-    verdicts = {} if verdicts is None else verdicts
-    for index, step in enumerate(ir.steps):
+    for step in ir.steps:
         if step.kind != "conv_spmm":
             continue
         op = step.op
         if op.c_in_g != 1 or op.groups != op.c_out:
             continue  # grouped but not depthwise
-        matrix = step.attrs["matrix"]
-        matrix_bytes = matrix.data.nbytes + matrix.indices.nbytes
-        if not probe or matrix_bytes < DW_PROBE_MIN_BYTES:
+        channels, h, w, ho, wo = conv_geometry(ir, step)
+        if ho * wo <= DW_ROWS_MIN_PLANE or batch * op.sw >= DW_ROWS_MAX_BATCH_STRIDE:
             continue
-        channels = op.c_out
-        rows, cols = matrix.shape
-        plane_out, plane_in = rows // channels, cols // channels
-
-        g_csr = _depthwise_planes_per_group(
-            (plane_in + plane_out) * batch * 4 + matrix_bytes // channels,
-            channels, l2_bytes,
-        )
-        groups = pack_depthwise_groups(matrix, channels, plane_in, plane_out, g_csr)
-
-        # Geometry for the stencil comes from the IR's value shapes.
-        in_row = ir.values[step.inputs[0]].row_shape
-        out_row = ir.values[step.output].row_shape
-        _, h, w = in_row[1:]
-        _, ho, wo = out_row[1:]
-        hp, wp = h + 2 * op.ph, w + 2 * op.pw
-        g_st = _depthwise_planes_per_group(
-            (hp * wp + 2 * ho * wo) * batch * 4, channels, l2_bytes
-        )
-        stencil = DepthwiseStencil(op, h, w, ho, wo, g_st)
-
-        key = (index, batch, l2_bytes)
-        record = verdicts.get(key)
-        if record is None:
-            stats.depthwise_probes += 1
-            record = verdicts[key] = _probe_depthwise(matrix, groups, stencil, batch)
-            record["planes_per_group"] = {"group_csr": g_csr, "stencil": g_st}
-        step.attrs["dw_probe"] = record
-        if record["winner"] == "group_csr":
-            step.attrs["dw_kernel"] = "group_csr"
-            step.attrs["dw_groups"] = groups
-            stats.depthwise_grouped_ops += 1
-            stats.depthwise_groups += len(groups)
-            _mark(step, "block_depthwise")
-        elif record["winner"] == "stencil":
-            step.attrs["dw_kernel"] = "stencil"
-            step.attrs["dw_stencil"] = stencil
-            stats.depthwise_stencil_ops += 1
-            _mark(step, "block_depthwise")
+        fit = l2_bytes // ((op.kw * h * wo + ho * wo) * batch * 4)
+        groups = -(-channels // max(1, min(channels, fit)))
+        step.attrs["dw_rows"] = -(-channels // groups)  # planes per group
+        stats.depthwise_rows_ops += 1
+        _mark(step, "block_depthwise")
 
 
 # ---------------------------------------------------------------------------
 # Pass 6: cache-blocked SpMM
 # ---------------------------------------------------------------------------
 def block_spmm(
-    ir: PlanIR,
-    stats,
-    batch: int,
-    l2_bytes: int = L2_BUDGET_BYTES,
-    min_blocks: int = 1,
+    ir: PlanIR, stats, batch: int, l2_bytes: int = L2_BUDGET_BYTES
 ) -> None:
-    """Partition large SpMM steps into pre-packed, L2-sized row blocks.
-
-    ``min_blocks`` forces at least that many blocks regardless of size
-    (the intra-op row-parallel hook uses it to create one block per
-    worker).  Matrices whose whole working set fits the budget are left
-    unblocked unless forced.
-    """
+    """Partition large per-plane-CSR steps into pre-packed, L2-sized row
+    blocks.  Matrices whose whole working set fits the budget are left
+    unblocked; so are steps :func:`block_depthwise` rewrote."""
     for step in ir.steps:
-        if step.kind == "conv_spmm":
-            if step.attrs.get("dw_kernel") in ("group_csr", "stencil"):
-                continue  # block_depthwise already bounded the working set
-            matrix = step.attrs["matrix"]
-            align = max(1, matrix.shape[0] // step.op.c_out)
-        elif step.kind == "conv_gather_gemm":
-            matrix = step.attrs["gather"]
-            ckk = step.op.c_in_g * step.op.kh * step.op.kw
-            align = max(1, matrix.shape[0] // ckk)
-        else:
+        if step.kind != "conv_spmm" or "dw_rows" in step.attrs:
             continue
+        matrix = kernels.conv_matrix(step.op, *conv_geometry(ir, step))
+        align = max(1, matrix.shape[0] // step.op.c_out)
         rows = matrix.shape[0]
         out_bytes = rows * batch * 4
         in_bytes = matrix.shape[1] * batch * 4
         matrix_bytes = matrix.data.nbytes + matrix.indices.nbytes
         footprint = out_bytes + in_bytes + matrix_bytes
-        blocks_needed = max(min_blocks, -(-footprint // max(1, l2_bytes)))
+        blocks_needed = -(-footprint // max(1, l2_bytes))
         if blocks_needed <= 1 or rows <= align:
             continue
         rows_per_block = max(align, -(-rows // blocks_needed) // align * align)
@@ -516,14 +384,13 @@ def run_shared_passes(ir: PlanIR, stats, disabled: tuple = ()) -> PlanIR:
 
 
 def run_batch_passes(
-    ir: PlanIR, stats, l2_bytes: int = L2_BUDGET_BYTES, intra_op_workers: int = 1,
-    probe: bool = True, disabled: tuple = (), verdicts: Optional[dict] = None,
+    ir: PlanIR, stats, l2_bytes: int = L2_BUDGET_BYTES, disabled: tuple = ()
 ) -> PlanIR:
     """The two passes that size their work to ``ir.batch``, per plan."""
     if "block_depthwise" not in disabled:
-        block_depthwise(ir, stats, ir.batch, l2_bytes, probe, verdicts)
+        block_depthwise(ir, stats, ir.batch, l2_bytes)
     if "block_spmm" not in disabled:
-        block_spmm(ir, stats, ir.batch, l2_bytes, max(1, intra_op_workers))
+        block_spmm(ir, stats, ir.batch, l2_bytes)
     return ir
 
 
@@ -531,19 +398,17 @@ def run_passes(
     ir: PlanIR,
     stats,
     l2_bytes: int = L2_BUDGET_BYTES,
-    intra_op_workers: int = 1,
     probe: bool = True,
     disabled: tuple = (),
 ) -> PlanIR:
     """Run the full pass pipeline in order; returns the (mutated) IR.
 
-    ``probe=False`` keeps the pipeline fully deterministic (no timing-
-    based kernel selection) — provenance digests use it.  ``disabled``
+    The result is a pure function of ``(ir, l2_bytes, disabled)``.
+    ``probe`` is accepted and ignored: it used to switch off a
+    timing-based depthwise probe that no longer exists.  ``disabled``
     names passes to skip by function name; benchmarks use it to build
     honest "this pass off" baselines in the same process.
     """
+    del probe
     run_shared_passes(ir, stats, disabled)
-    return run_batch_passes(
-        ir, stats, l2_bytes=l2_bytes, intra_op_workers=intra_op_workers,
-        probe=probe, disabled=disabled,
-    )
+    return run_batch_passes(ir, stats, l2_bytes=l2_bytes, disabled=disabled)

@@ -3,7 +3,7 @@
 The float engine keeps every activation in float32; this module overlays
 a *compute* tier on a bound :class:`~.executor.ExecutionPlan` that runs
 the GEMM/SpMM producers (pointwise convs, linears, depthwise convs,
-gather convs) with symmetric int8 operands and exact int32 accumulation:
+im2col convs) with symmetric int8 operands and exact int32 accumulation:
 
 * **weights** are quantized at plan time, per output channel
   (``scale = max|W_c| / 127``, zero point 0 — symmetric quantization is
@@ -190,16 +190,19 @@ class QuantizedPlan:
                     continue  # int32 headroom guard: keep the float kernel
                 self._weights[index] = _quantize_gemm_weights(rec["weight"])
             elif rec["kind"] == "spmm":
-                payload = _quantize_csr_weights(rec["matrix"], rec["c_out"])
+                # The int tier runs per-plane CSR whatever kernel the float
+                # step bound, so the matrix is fetched (or built) here.
+                op = rec["conv"][0]
+                payload = _quantize_csr_weights(
+                    kernels.conv_matrix(*rec["conv"]), op.c_out
+                )
                 if payload["max_row_nnz"] > _MAX_DOT_LENGTH:
                     continue
                 self._weights[index] = payload
             elif rec["kind"] == "gather_gemm":
                 if rec["weight"].shape[1] > _MAX_DOT_LENGTH:
                     continue
-                payload = _quantize_gemm_weights(rec["weight"])
-                payload["gather_data_q"] = rec["gather"].data.astype(np.int32)
-                self._weights[index] = payload
+                self._weights[index] = _quantize_gemm_weights(rec["weight"])
             else:  # pragma: no cover - no other record kinds exist
                 continue
             self._records[index] = rec
@@ -389,25 +392,14 @@ class QuantizedPlan:
                     rows, cols, n_vecs, indptr, indices, dataq, xq_flat, acc_flat
                 )
 
-        else:  # gather_gemm
-            gather = rec["gather"]
-            gq_data = payload["gather_data_q"]
+        else:  # gather_gemm: the float step's copy plan over int32 buffers
             wq = payload["wq"]
-            ckk = rec["ckk"]
-            colsq = np.empty((gather.shape[0], x2.shape[1]), dtype=np.int32)
-            colsq_flat = colsq.reshape(-1)
-            colsq2 = colsq.reshape(ckk, -1)
-            xq_flat = xq.reshape(-1)
-            g_rows, g_cols = gather.shape
-            g_indptr, g_indices = gather.indptr, gather.indices
-            n_vecs = x2.shape[1]
+            colsq = np.empty(rec["cols_shape"], dtype=np.int32)
+            colsq2 = colsq.reshape(wq.shape[1], -1)
+            gather = rec["im2col"].bind(xq, colsq)
 
             def accumulate():
-                colsq.fill(0)
-                _sparsetools.csr_matvecs(
-                    g_rows, g_cols, n_vecs, g_indptr, g_indices, gq_data,
-                    xq_flat, colsq_flat,
-                )
+                gather()
                 np.matmul(wq, colsq2, out=acc)
 
         if consumer is not None:

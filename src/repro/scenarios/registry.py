@@ -3,9 +3,8 @@
 The built-in matrix covers every backbone family at every tier, from the
 32px quick scale the paper tables run at up to the 224px
 high-resolution tier — the regime where wire format and split placement
-actually matter, and where the engine's L2-blocked SpMM pass (idle at
-32px on non-VGG backbones, where every conv working set fits the cache
-budget) finally earns its keep.
+actually matter, and where every depthwise step runs the engine's
+row-vector kernel (at the quick tier's batch 16 per-plane CSR is kept).
 
 Tier conventions in the curated matrix:
 
@@ -105,7 +104,7 @@ _TIER_SETTINGS = {
 _TIER_BLURBS = {
     "quick": "paper-table scale; the regime every accuracy benchmark runs at",
     "mid": "intermediate scale with the latency-optimal cut chosen per channel",
-    "hires": "high-resolution tier: large Z_b payloads, L2-blocked SpMM regime",
+    "hires": "high-resolution tier: large Z_b payloads, row-vector depthwise regime",
 }
 
 for _family, _backbone in BACKBONE_FAMILIES.items():

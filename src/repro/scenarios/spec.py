@@ -38,7 +38,7 @@ __all__ = ["Scenario", "ScenarioError", "TIERS"]
 #: Canonical scenario tiers, ordered by input scale.  ``quick`` is the
 #: 32px regime every paper-table benchmark runs at; ``hires`` is the
 #: 224px regime where wire format, split placement and the engine's
-#: L2-blocked SpMM actually matter.
+#: depthwise kernel actually matter.
 TIERS: Tuple[str, ...] = ("quick", "mid", "hires")
 
 #: ``split_index`` sentinel (same convention as ``DeploymentSpec``).

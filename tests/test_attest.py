@@ -160,12 +160,37 @@ def test_optimizer_is_bit_exact_on_quick_tier(quick_attestation):
 
 
 def test_plan_ir_text_matches_plan_digest_material(quick_attestation):
-    """The stored plan text is the digest material: no timing tables,
-    no memory addresses, and the depthwise probe is never consulted."""
+    """The stored plan text is the digest material: no memory addresses
+    (and nothing in a plan is timed, so no timing tables either)."""
     text = quick_attestation.plan_ir
-    assert "dw_probe" not in text
     assert "0x" not in text  # default object reprs would leak addresses
     assert "split:" in text.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "name", ["mobilenetv3_hires_224px", "efficientnet_hires_224px", "vgg_hires_224px"]
+)
+def test_executed_plan_text_is_the_attested_plan_text(name):
+    """What is attested is what runs: the IR a hires deployment *bound*
+    renders byte for byte like the arena-free ``plan_ir`` the digests
+    hash, and planning the same shape again gives the same text."""
+    from repro.nn.engine import ExecutionPlan
+    from repro.serve import deploy
+
+    scenario = get_scenario(name)
+    with deploy(scenario.deployment_spec()) as deployment:
+        deployment.warmup([scenario.batch_size])
+        for half in (deployment.pipeline.edge, deployment.pipeline.server):
+            executor = half.session
+            assert executor._prepared, "warmup bound no plan"
+            for shape, prepared in executor._prepared.items():
+                ((_, plan),) = prepared.parts
+                text = plan.ir.describe()
+                assert text == executor.plan_ir(shape).describe()
+                assert text == ExecutionPlan(executor.session, shape).ir.describe()
+        edge = deployment.pipeline.edge.session.stats
+    if "vgg" not in name:
+        assert edge.depthwise_rows_ops > 0
 
 
 def test_perturbed_weight_is_caught_naming_the_step(monkeypatch, tmp_path):

@@ -1,14 +1,14 @@
-"""Property tests for the depthwise rewrites (group-CSR + stencil).
+"""The row-vector depthwise kernel and the copy-based im2col.
 
-The pass's contract has two tiers: the block-diagonal group kernel is
-*structurally* bit-identical to the per-plane CSR (zero-copy data view,
-same entry order, same ``csr_matvecs`` accumulation), while the
-padded-slab stencil must *measure* bit-identical on the probe input
-before ``block_depthwise`` may select it — and the probe records an
-honest loser table either way.  These tests pin both tiers, plus the
-steady-state regression the layout-repack pass is responsible for:
-optimized plans bind with zero runtime operand copies across the whole
-quick-tier scenario matrix.
+Both replace a ``csr_matvecs(n_vecs=batch)`` run and both must be
+*structurally* bit-identical to what they replace: the rows kernel does
+the per-plane CSR's products in the per-plane CSR's order, the copies
+move the values the 0/1 gather matrix moved.  These tests pin that on
+raw bytes against per-plane CSR and a naive im2col, with the scratch
+pre-filled with NaN (the binder hands in recycled arena memory), and pin
+the plan plumbing around them: geometry-decided rewriting, the on-demand
+CSR of the reference and quant8 paths, one construction per geometry,
+and the steady-state invariants across the quick matrix.
 """
 
 import numpy as np
@@ -18,212 +18,204 @@ from hypothesis import strategies as st
 
 from repro import data
 from repro.core import MTLSplitNet
-from repro.nn.engine import ExecutionPlan, PlannedExecutor, kernels, passes
-from repro.nn.engine.kernels import (
-    DepthwiseStencil,
-    pack_depthwise_groups,
-    spmm_depthwise_groups,
-)
+from repro.nn.engine import ExecutionPlan, PlannedExecutor, kernels, plan_session
 from repro.scenarios import scenario_matrix
 
 
-class _DepthwiseOp:
-    """Minimal stand-in for a fused depthwise conv op (square geometry)."""
+class _ConvOp:
+    """Minimal stand-in for a fused conv op (depthwise unless ``c_in``)."""
 
-    def __init__(self, channels, k, stride, rng):
-        self.c_out = channels
-        self.c_in_g = 1
-        self.groups = channels
+    def __init__(self, c_out, k, stride, pad, rng, c_in=None):
+        self.c_out = c_out
+        self.c_in_g = c_in or 1
+        self.groups = 1 if c_in else c_out
         self.kh = self.kw = k
         self.sh = self.sw = stride
-        self.ph = self.pw = k // 2
-        self.weight = rng.standard_normal((channels, 1, k, k)).astype(np.float32)
+        self.ph, self.pw = pad
+        self.weight = rng.standard_normal((c_out, self.c_in_g, k, k)).astype(np.float32)
+
+    def out_size(self, h, w):
+        return (
+            (h + 2 * self.ph - self.kh) // self.sh + 1,
+            (w + 2 * self.pw - self.kw) // self.sw + 1,
+        )
 
 
-def _geometry(op, size):
-    ho = (size + 2 * op.ph - op.kh) // op.sh + 1
-    return size, size, ho, ho
+_GEOMETRY = dict(
+    channels=st.integers(1, 9),
+    h=st.integers(2, 11),
+    w=st.integers(2, 11),
+    k=st.sampled_from((3, 5)),
+    stride=st.sampled_from((1, 2)),
+    pad=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    batch=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
 
 
-def _csr_reference(op, h, w, ho, wo, batch, rng):
-    matrix = kernels.weight_csr(op, op.c_out, h, w, ho, wo)
-    x2 = rng.standard_normal((matrix.shape[1], batch)).astype(np.float32)
-    y_ref = np.zeros((matrix.shape[0], batch), dtype=np.float32)
-    kernels.spmm_accumulate(matrix, x2, y_ref)
-    return matrix, x2, y_ref
-
-
-class TestGroupBlockedBitIdentity:
-    """Block-diagonal plane groups reproduce the whole-CSR sums exactly."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        channels=st.integers(1, 12),
-        size=st.integers(2, 10),
-        k=st.sampled_from((3, 5)),
-        stride=st.sampled_from((1, 2)),
-        batch=st.integers(1, 4),
-        planes=st.integers(1, 14),
-        seed=st.integers(0, 2**16),
-    )
-    def test_bit_identity_across_group_sizes(
-        self, channels, size, k, stride, batch, planes, seed
+class TestRowsKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(group=st.integers(1, 10), **_GEOMETRY)
+    def test_bytes_equal_per_plane_csr(
+        self, channels, h, w, k, stride, pad, batch, seed, group
     ):
         rng = np.random.default_rng(seed)
-        op = _DepthwiseOp(channels, k, stride, rng)
-        h, w, ho, wo = _geometry(op, size)
-        matrix, x2, y_ref = _csr_reference(op, h, w, ho, wo, batch, rng)
-        groups = pack_depthwise_groups(matrix, channels, h * w, ho * wo, planes)
-        y = np.zeros_like(y_ref)
-        spmm_depthwise_groups(groups, x2, y)
-        np.testing.assert_array_equal(y, y_ref)
-
-    def test_groups_cover_all_planes_and_share_data(self):
-        rng = np.random.default_rng(0)
-        op = _DepthwiseOp(7, 3, 1, rng)
-        h, w, ho, wo = _geometry(op, 6)
-        matrix, _, _ = _csr_reference(op, h, w, ho, wo, 1, rng)
-        groups = pack_depthwise_groups(matrix, 7, h * w, ho * wo, 3)
-        assert [(g.row_lo, g.row_hi) for g in groups] == [
-            (0, 3 * ho * wo), (3 * ho * wo, 6 * ho * wo), (6 * ho * wo, 7 * ho * wo)
-        ]
-        # data is a zero-copy view of the cached matrix: same entries, same order
-        assert all(np.shares_memory(g.data, matrix.data) for g in groups)
-
-
-class TestStencilEquivalence:
-    """The padded-slab stencil matches CSR within float32 on random nets
-    and exactly on a fixed probe-style input (the condition the pass
-    requires before it may select the stencil kernel)."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        channels=st.integers(1, 10),
-        size=st.integers(2, 10),
-        k=st.sampled_from((3, 5)),
-        stride=st.sampled_from((1, 2)),
-        batch=st.integers(1, 4),
-        group=st.integers(1, 12),
-        seed=st.integers(0, 2**16),
-    )
-    def test_matches_csr(self, channels, size, k, stride, batch, group, seed):
-        rng = np.random.default_rng(seed)
-        op = _DepthwiseOp(channels, k, stride, rng)
-        h, w, ho, wo = _geometry(op, size)
-        _, x2, y_ref = _csr_reference(op, h, w, ho, wo, batch, rng)
-        stencil = DepthwiseStencil(op, h, w, ho, wo, group)
-        pad_shape, mul_shape = stencil.scratch_shapes(batch)
-        # scratch borders arrive holding arena garbage; run() must re-zero
-        pad = np.full(pad_shape, np.nan, dtype=np.float32)
-        mul = np.full(mul_shape, np.nan, dtype=np.float32)
-        y = np.zeros_like(y_ref)
-        stencil.run(
-            x2.reshape(channels, h, w, batch),
-            y.reshape(channels, ho, wo, batch),
-            pad,
-            mul,
+        op = _ConvOp(channels, k, stride, pad, rng)
+        ho, wo = op.out_size(h, w)
+        if ho < 1 or wo < 1:
+            return
+        x = rng.standard_normal((channels, h, w, batch)).astype(np.float32)
+        bias = rng.standard_normal((channels, 1)).astype(np.float32)
+        want = np.empty((channels, ho, wo, batch), dtype=np.float32)
+        want.reshape(channels, -1)[:] = bias
+        matrix = kernels.weight_csr(op, channels, h, w, ho, wo)
+        assert matrix.nnz == channels * kernels.valid_taps(op, h, w, ho, wo)
+        kernels.spmm_accumulate(
+            matrix, x.reshape(-1, batch), want.reshape(-1, batch)
         )
-        np.testing.assert_allclose(y, y_ref, atol=1e-6, rtol=0)
 
-    def test_probe_style_input_is_bit_identical(self):
-        rng = np.random.default_rng(0xD3)
-        op = _DepthwiseOp(8, 3, 1, rng)
-        h, w, ho, wo = _geometry(op, 14)
-        _, x2, y_ref = _csr_reference(op, h, w, ho, wo, 2, rng)
-        stencil = DepthwiseStencil(op, h, w, ho, wo, 4)
-        pad_shape, mul_shape = stencil.scratch_shapes(2)
-        pad = np.zeros(pad_shape, dtype=np.float32)
-        mul = np.empty(mul_shape, dtype=np.float32)
-        y = np.zeros_like(y_ref)
-        stencil.run(
-            x2.reshape(8, h, w, 2), y.reshape(8, ho, wo, 2), pad, mul
+        rows = kernels.DepthwiseRows(op, channels, h, w, ho, wo)
+        slab = np.full(
+            rows.slab_shape(min(group, channels), batch), np.nan, dtype=np.float32
         )
-        np.testing.assert_array_equal(y, y_ref)
+        got = np.empty_like(want)
+        got.reshape(channels, -1)[:] = bias
+        run = rows.bind(x, got, slab)
+        run()
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # no negative zeros went in
+        slab.fill(np.nan)  # a later step scribbled on the shared scratch
+        got.reshape(channels, -1)[:] = bias
+        run()
+        assert got.tobytes() == want.tobytes()
+
+    def test_only_a_negative_zero_accumulator_can_change_sign(self):
+        # All products are -0.0 (w < 0, x = +0.0) and the bias is -0.0:
+        # per-plane CSR leaves -0.0, a padded column tap with w > 0 adds
+        # +0.0.  Equal as numbers — the one case the bytes may differ.
+        op = _ConvOp(1, 3, 1, (1, 1), np.random.default_rng(0))
+        op.weight[:] = -1.0
+        op.weight[0, 0, :, 0] = 1.0  # left column: padded at j == 0
+        x = np.zeros((1, 3, 3, 1), dtype=np.float32)
+        want = np.full((1, 3, 3, 1), -0.0, dtype=np.float32)
+        got = want.copy()
+        kernels.spmm_accumulate(
+            kernels.weight_csr(op, 1, 3, 3, 3, 3), x.reshape(-1, 1), want.reshape(-1, 1)
+        )
+        rows = kernels.DepthwiseRows(op, 1, 3, 3, 3, 3)
+        rows.bind(x, got, np.empty(rows.slab_shape(1, 1), dtype=np.float32))()
+        np.testing.assert_array_equal(got, want)
+        assert np.signbit(want[0, :, 0]).all() and not np.signbit(got[0, :, 0]).any()
 
 
-class TestProbeSelection:
-    """Forced probes record honest loser tables and never change results."""
-
-    @pytest.fixture(scope="class")
-    def probe_setup(self):
-        tasks = data.make_shapes3d(4, tasks=("scale", "shape"), seed=7).tasks
-        net = MTLSplitNet.from_tasks("mobilenet_v3_tiny", list(tasks), 32, seed=31)
-        net.eval()
-        session = net.compile_for_inference()
-        x = data.make_shapes3d(8, tasks=("scale", "shape"), seed=11).images[:4]
-        return session, x
-
-    def test_forced_probe_records_and_preserves_results(
-        self, probe_setup, monkeypatch
+class TestCopyIm2col:
+    @settings(max_examples=80, deadline=None)
+    @given(dtype=st.sampled_from((np.float32, np.int32)), **_GEOMETRY)
+    def test_bytes_equal_naive_im2col(
+        self, channels, h, w, k, stride, pad, batch, seed, dtype
     ):
-        session, x = probe_setup
-        monkeypatch.setattr(passes, "DW_PROBE_MIN_BYTES", 0)
+        rng = np.random.default_rng(seed)
+        op = _ConvOp(4, k, stride, pad, rng, c_in=channels)
+        ho, wo = op.out_size(h, w)
+        if ho < 1 or wo < 1:
+            return
+        x = (rng.standard_normal((channels, h, w, batch)) * 50).astype(dtype)
+        padded = np.zeros((channels, h + 2 * op.ph, w + 2 * op.pw, batch), dtype=dtype)
+        padded[:, op.ph : op.ph + h, op.pw : op.pw + w] = x
+        want = np.empty((channels, k, k, ho, wo, batch), dtype=dtype)
+        for ki in range(k):
+            for kj in range(k):
+                want[:, ki, kj] = padded[
+                    :,
+                    ki : ki + (ho - 1) * stride + 1 : stride,
+                    kj : kj + (wo - 1) * stride + 1 : stride,
+                ]
+        got = np.full(want.shape, 7 if dtype is np.int32 else np.nan, dtype=dtype)
+        kernels.im2col_copies(op, channels, h, w, ho, wo).bind(x, got)()
+        assert got.tobytes() == want.tobytes()
+
+
+def _session(backbone):
+    tasks = data.make_shapes3d(4, tasks=("scale", "shape"), seed=7).tasks
+    net = MTLSplitNet.from_tasks(backbone, list(tasks), 32, seed=31)
+    net.eval()
+    return net.compile_for_inference()
+
+
+@pytest.fixture(scope="module")
+def mobilenet_session():
+    images = data.make_shapes3d(16, tasks=("scale", "shape"), seed=11).images
+    return _session("mobilenet_v3_tiny"), images
+
+
+class TestPlanPlumbing:
+    def test_disabling_the_pass_is_the_per_plane_csr_baseline(self, mobilenet_session):
+        session, images = mobilenet_session
+        x = images[:4]
         plan = ExecutionPlan(session, x.shape)
-        baseline = ExecutionPlan(
-            session, x.shape, disabled_passes=("block_depthwise",)
-        )
-        assert plan.stats.depthwise_probes > 0
-        probed = [s for s in plan.ir.steps if "dw_probe" in s.attrs]
-        assert probed
-        for step in probed:
-            rec = step.attrs["dw_probe"]
-            assert set(rec["times_ms"]) == {"csr", "group_csr", "stencil"}
-            assert rec["winner"] in rec["times_ms"]
-            # block-diagonal slicing is structurally exact, always eligible
-            assert rec["group_csr_exact"] is True
-            assert rec["planes_per_group"]["group_csr"] >= 1
-        text = plan.describe()
-        assert "probe: winner=" in text
-        # whatever kernel won, the plan's results are bit-identical to the
-        # per-plane CSR plan (the pass's eligibility gate)
-        lhs, rhs = plan.run(x), baseline.run(x)
-        assert set(lhs) == set(rhs)
-        for name in rhs:
-            np.testing.assert_array_equal(lhs[name], rhs[name])
+        baseline = ExecutionPlan(session, x.shape, disabled_passes=("block_depthwise",))
+        assert plan.stats.depthwise_rows_ops > 0
+        assert "block_depthwise->rows(x" in plan.describe()
+        assert baseline.stats.depthwise_rows_ops == 0
+        assert not any("dw_rows" in s.attrs for s in baseline.ir.steps)
+        got, want = plan.run(x), baseline.run(x)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes()
 
-    def test_evicted_plan_rebuilds_with_the_recorded_winner(
-        self, probe_setup, monkeypatch
-    ):
-        session, x = probe_setup
-        monkeypatch.setattr(passes, "DW_PROBE_MIN_BYTES", 0)
-        executor = PlannedExecutor(session, max_plans=1)
+    def test_rewriting_is_decided_by_geometry_and_batch(self, mobilenet_session):
+        session, _ = mobilenet_session
 
-        def depthwise(plan):
+        def rewritten(batch):
+            ir = PlannedExecutor(session).plan_ir((batch, 3, 32, 32))
             return [
-                (s.attrs.get("dw_kernel"), s.attrs["dw_probe"])
-                for s in plan.ir.steps if "dw_probe" in s.attrs
+                ir.values[s.output].row_shape[2:] for s in ir.steps
+                if "dw_rows" in s.attrs
             ]
 
-        executor.run(x)
-        (first,) = (plan for _, plan in executor._prepared[x.shape].parts)
-        timed = first.stats.depthwise_probes
-        assert timed > 0 and len(depthwise(first)) == timed
+        # Only the 16x16 plane is large enough at 32px; per-plane CSR
+        # catches up once its n_vecs (the batch) is long enough.
+        assert rewritten(1) == rewritten(12) == [(16, 16)]
+        assert rewritten(16) == []
 
-        expected = {name: out.copy() for name, out in executor.run(x).items()}
-        executor.run(x[:3])  # max_plans=1: evicts the batch-4 plan
-        assert x.shape not in executor._prepared
+    def test_twelve_batch_sizes_build_each_construction_once(
+        self, mobilenet_session, monkeypatch
+    ):
+        images = mobilenet_session[1]
+        session = _session("mobilenet_v3_tiny")  # nothing cached on its ops yet
+        built = []
+        for name in ("DepthwiseRows", "im2col_copies", "weight_csr"):
+            original = getattr(kernels, name)
 
-        def no_second_timing(*args, **kwargs):
-            raise AssertionError("a rebuilt plan re-timed its depthwise kernels")
+            def spy(op, *geometry, _name=name, _original=original):
+                built.append((_name, id(op)) + geometry)
+                return _original(op, *geometry)
 
-        monkeypatch.setattr(passes, "_probe_depthwise", no_second_timing)
-        rebuilt_out = executor.run(x)
-        (rebuilt,) = (plan for _, plan in executor._prepared[x.shape].parts)
-        assert rebuilt is not first
-        assert rebuilt.stats.depthwise_probes == 0  # reused, not a fresh timing
-        for (kernel, record), (kernel2, record2) in zip(
-            depthwise(first), depthwise(rebuilt), strict=True
-        ):
-            assert kernel == kernel2 and record is record2
-        for name in expected:
-            np.testing.assert_array_equal(rebuilt_out[name], expected[name])
+            monkeypatch.setattr(kernels, name, spy)
+        executor = PlannedExecutor(session, max_plans=4)
+        for batch in range(1, 13):
+            executor.run(images[:batch])
+        assert {name for name, *_ in built} == {
+            "DepthwiseRows", "im2col_copies", "weight_csr"
+        }
+        assert len(built) == len(set(built))
 
-    def test_probe_disabled_for_provenance(self, probe_setup, monkeypatch):
-        session, x = probe_setup
-        monkeypatch.setattr(passes, "DW_PROBE_MIN_BYTES", 0)
-        plan = ExecutionPlan(session, x.shape, probe=False)
-        assert plan.stats.depthwise_probes == 0
-        assert not any("dw_probe" in s.attrs for s in plan.ir.steps)
+    def test_quant8_still_quantizes_depthwise_and_im2col_steps(self, mobilenet_session):
+        session, images = mobilenet_session
+        x = images[:4]
+        float_plan = ExecutionPlan(session, x.shape)
+        assert float_plan.stats.depthwise_rows_ops > 0
+        executor = plan_session(session, compute="quant8")
+        executor.run(x)  # calibration batch (float, bit-exact)
+        (prepared,) = executor._prepared.values()
+        ((_, qplan),) = prepared.parts
+        kinds = [rec["kind"] for rec in qplan._records.values()]
+        assert kinds.count("spmm") == sum(
+            s.kind == "conv_spmm" for s in float_plan.ir.steps
+        )
+        assert kinds.count("gather_gemm") == 1
+        want, got = float_plan.run(images[4:8]), executor.run(images[4:8])
+        for name in want:
+            assert float(np.max(np.abs(got[name] - want[name]))) < 1.4e-3
 
 
 class TestSteadyStateRegression:
@@ -238,11 +230,11 @@ class TestSteadyStateRegression:
                 scenario.backbone, list(tasks), scenario.input_size, seed=31
             )
             net.eval()
-            session = net.compile_for_inference()
-            executor = PlannedExecutor(session)
+            executor = PlannedExecutor(net.compile_for_inference())
             rng = np.random.default_rng(3)
+            # Batch 4 so the rows kernel is in the plans being checked.
             x = rng.standard_normal(
-                (scenario.batch_size, 3, scenario.input_size, scenario.input_size)
+                (4, 3, scenario.input_size, scenario.input_size)
             ).astype(np.float32)
             executor.run(x)
             executor.run(x)
@@ -252,14 +244,9 @@ class TestSteadyStateRegression:
             assert stats.layout_repacks > 0, scenario.name
 
     def test_noncontiguous_input_matches_contiguous(self):
-        tasks = data.make_shapes3d(4, tasks=("scale", "shape"), seed=7).tasks
-        net = MTLSplitNet.from_tasks("vgg_tiny", list(tasks), 32, seed=31)
-        net.eval()
-        session = net.compile_for_inference()
-        executor = PlannedExecutor(session)
-        rng = np.random.default_rng(5)
-        base = rng.standard_normal((4, 3, 32, 64)).astype(np.float32)
-        strided = base[..., ::2]  # non-contiguous view, shape (4, 3, 32, 32)
+        executor = PlannedExecutor(_session("vgg_tiny"), copy_outputs=True)
+        base = np.random.default_rng(5).standard_normal((4, 3, 32, 64))
+        strided = base.astype(np.float32)[..., ::2]  # non-contiguous (4, 3, 32, 32)
         assert not strided.flags["C_CONTIGUOUS"]
         expected = executor.run(np.ascontiguousarray(strided))
         got = executor.run(strided)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import data, nn
 from repro.core import MTLSplitNet
-from repro.nn import engine, fuse
+from repro.nn import fuse
 from repro.nn.engine import ExecutionPlan, PlannedExecutor
 
 _ATOL = 1e-6
@@ -246,21 +246,6 @@ class TestEdgeCases:
         if blocked.stats.sparse_ops:
             assert blocked.stats.blocked_spmm_ops >= 1
             assert blocked.stats.spmm_row_blocks > blocked.stats.blocked_spmm_ops
-
-    def test_intra_op_row_parallel_hook(self, split_net, images):
-        # The lone-request latency lever: batch stays whole, eligible
-        # steps split output rows across the pool.  Equivalence must
-        # hold for batch 1 (the case batch sharding cannot help).
-        session = split_net.compile_for_inference()
-        executor = PlannedExecutor(session, num_workers=3, intra_op=True)
-        for batch in (1, 8):
-            x = images[:batch]
-            _assert_outputs_match(executor.run(x), session.run(x))
-        # One whole-batch plan per shape — the batch is never sharded.
-        assert all(
-            len(prepared.parts) == 1 for prepared in executor._prepared.values()
-        )
-        executor.close()
 
     def test_fallback_op_still_counts_allocs(self, rng):
         module = nn.Sequential(

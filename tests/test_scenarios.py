@@ -326,9 +326,8 @@ class TestHiresSmoke:
         report = result.report
         assert report.batches == 2
         assert report.images == 2 * scenario.batch_size
-        # The whole point of the tier: the blocking pass operates here,
-        # and planning still removes every steady-state allocation.
-        assert report.spmm_row_blocks > 0
+        # Planning still removes every steady-state allocation at this
+        # scale (that the rows kernel runs here: tests/test_attest.py).
         assert report.steady_state_allocs == 0
         assert result.payload_bytes_per_batch > 0
 

@@ -1,17 +1,11 @@
 """Deployment facade: capability parity with the old surface, lifecycle
-(resource reclamation), auto split, shim *removal*, CLI subcommand.
-
-The ``repro.deployment.{EdgeRuntime,ServerRuntime,SplitPipeline}``
-deprecation shims soaked for two PRs and are now gone; the shim tests
-that lived here became the removal tests in :class:`TestShimRemoval`."""
+(resource reclamation), auto split, CLI subcommand."""
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
 
-import repro
 from repro import nn
 from repro.cli import main
 from repro.nn.tensor import Tensor
@@ -239,57 +233,13 @@ class TestLifecycle:
             assert stats is not None and stats.num_plans >= 2
 
 
-class TestShimRemoval:
-    """The deprecated runtime shims are gone — loudly, with a pointer.
+def test_deployment_still_reexports_the_runtime_data_types():
+    from repro.deployment import InferenceTrace, SimulatedLink, ThroughputReport
+    from repro.serve import runtime as serve_runtime
 
-    Their deprecation window (>= 2 PRs, internal callers migrated first)
-    closed; these tests pin the removal so the names cannot quietly come
-    back without a decision.
-    """
-
-    @pytest.mark.parametrize(
-        "name", ["EdgeRuntime", "ServerRuntime", "SplitPipeline"]
-    )
-    def test_removed_names_raise_with_migration_hint(self, name):
-        import repro.deployment
-        import repro.deployment.runtime
-
-        for module in (repro.deployment, repro.deployment.runtime):
-            with pytest.raises(AttributeError, match="removed after its deprecation"):
-                getattr(module, name)
-            with pytest.raises(AttributeError, match="repro.serve.runtime"):
-                getattr(module, name)
-
-    @pytest.mark.parametrize(
-        "name", ["EdgeRuntime", "ServerRuntime", "SplitPipeline"]
-    )
-    def test_removed_names_fail_from_import(self, name):
-        with pytest.raises(ImportError):
-            exec(f"from repro.deployment import {name}")
-
-    def test_data_types_still_reexported(self):
-        from repro.deployment import InferenceTrace, SimulatedLink, ThroughputReport
-        from repro.serve import runtime as serve_runtime
-
-        assert InferenceTrace is serve_runtime.InferenceTrace
-        assert SimulatedLink is serve_runtime.SimulatedLink
-        assert ThroughputReport is serve_runtime.ThroughputReport
-
-    def test_unknown_attribute_message_is_generic(self):
-        import repro.deployment
-
-        with pytest.raises(AttributeError, match="no attribute 'Bogus'"):
-            repro.deployment.Bogus
-
-    def test_serve_classes_do_not_warn(self, tiny_trained_net):
-        from repro.deployment import GIGABIT_ETHERNET
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pipeline = repro.serve.SplitPipeline.from_net(
-                tiny_trained_net, GIGABIT_ETHERNET, input_size=32
-            )
-            pipeline.close()
+    assert InferenceTrace is serve_runtime.InferenceTrace
+    assert SimulatedLink is serve_runtime.SimulatedLink
+    assert ThroughputReport is serve_runtime.ThroughputReport
 
 
 class TestServeCli:
