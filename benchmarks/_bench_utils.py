@@ -99,7 +99,7 @@ def pipeline_stamp(pipeline, batch_shape, split_index=None) -> dict:
 
 def session_stamp(session, batch_shape, header: str = "") -> dict:
     """Plan digest for a bare fused engine session (benches below the
-    serve layer entirely, e.g. the quant8 edge sweep).  ``spec_digest``
+    serve layer entirely, e.g. the edge worker-scaling sweep).  ``spec_digest``
     is empty by contract; the plan text is a pure function of the session
     and the batch shape."""
     from repro.nn.engine import PlanTemplate, Unplannable

@@ -16,17 +16,12 @@ Policy — what is *not* attestable
 Attestation is an **exact** gate, so it only covers configurations whose
 numerics are a pure function of the spec:
 
-* ``compute="quant8"`` is excluded: the int8 tier's requantisation
-  scales are calibrated from observed activations, which makes its
-  outputs a property of the calibration protocol, not of the spec alone.
-  The float32 reference rows of the same scenarios are the attested
-  ground truth the quant tier's accuracy gates compare against.
 * cache-enabled specs are excluded: attestation must digest the compute
   path itself; a response-cache hit would attest the cache, not the
   pipeline (and the serve cache already carries its own provenance
   keys, see :mod:`repro.serve.cache`).
 
-Both raise :class:`AttestationPolicyError` naming the rule.
+These raise :class:`AttestationPolicyError` naming the rule.
 """
 
 from __future__ import annotations
@@ -118,13 +113,6 @@ class Attestation:
 
 def check_attestable(spec) -> None:
     """Raise :class:`AttestationPolicyError` for non-attestable specs."""
-    if spec.compute != "float32":
-        raise AttestationPolicyError(
-            f"compute={spec.compute!r} is excluded from exact attestation: "
-            "the int8 tier's requant scales are calibration-dependent, so "
-            "its outputs are not a pure function of the spec.  Attest the "
-            "float32 reference scenario instead."
-        )
     if spec.cache is not None and spec.cache.enabled:
         raise AttestationPolicyError(
             "cache-enabled specs are excluded from exact attestation: a "

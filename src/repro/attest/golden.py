@@ -10,13 +10,9 @@ Recording policy mirrors the scenario tiers:
 
 * **quick** tier — recorded and CI-gated on every PR (small inputs,
   seconds to verify);
-* **hires** tier (float32 rows) — recorded but ``host_gated``: large
-  GEMMs may dispatch different BLAS kernels across CPU
-  microarchitectures, so these verify on demand (``--host-gated``), not
-  in CI;
-* quant8 *compute* rows — excluded by policy (calibration-dependent, see
-  :class:`~repro.attest.attestation.AttestationPolicyError`) and skipped
-  with a named reason rather than silently.
+* **hires** tier — recorded but ``host_gated``: large GEMMs may
+  dispatch different BLAS kernels across CPU microarchitectures, so
+  these verify on demand (``--host-gated``), not in CI.
 """
 
 from __future__ import annotations
@@ -30,9 +26,7 @@ from ..scenarios import available_scenarios, get_scenario
 from .attestation import (
     Attestation,
     AttestationError,
-    AttestationPolicyError,
     attest_scenario,
-    check_attestable,
     first_divergence,
 )
 
@@ -139,8 +133,7 @@ def record_goldens(
 
     Existing goldens are left untouched unless ``update`` is set —
     regenerating a golden is a reviewed, deliberate act (see
-    ``docs/benchmarking.md``), not a side effect.  Policy-excluded
-    scenarios are skipped with the policy text.
+    ``docs/benchmarking.md``), not a side effect.
     """
     result = VerifyResult()
     for name in names or _default_names(RECORD_TIERS):
@@ -149,12 +142,7 @@ def record_goldens(
         if path.is_file() and not update:
             result.skipped.append((name, "golden exists (use --update)"))
             continue
-        try:
-            attestation = attest_scenario(scenario)
-        except AttestationPolicyError as error:
-            result.skipped.append((name, str(error).split(".")[0]))
-            continue
-        save_golden(attestation, golden_dir)
+        save_golden(attest_scenario(scenario), golden_dir)
         result.recorded.append(name)
     return result
 
@@ -181,27 +169,16 @@ def verify_goldens(
         try:
             golden = load_golden(name, golden_dir)
         except AttestationError as error:
-            # A missing golden is a divergence (CI must fail when a new
-            # quick scenario lands unrecorded) — unless the scenario is
-            # policy-excluded, which is a named skip.
-            try:
-                check_attestable(scenario.deployment_spec())
-            except AttestationPolicyError as policy:
-                result.skipped.append((name, str(policy).split(".")[0]))
-            else:
-                result.divergences.append((name, str(error)))
+            # A missing golden is a divergence: CI must fail when a new
+            # quick scenario lands unrecorded.
+            result.divergences.append((name, str(error)))
             continue
         if golden.host_gated and not host_gated:
             result.skipped.append(
                 (name, "host-gated tier (verify with --host-gated)")
             )
             continue
-        try:
-            attestation = attest_scenario(scenario)
-        except AttestationPolicyError as error:
-            result.skipped.append((name, str(error).split(".")[0]))
-            continue
-        divergence = first_divergence(golden, attestation)
+        divergence = first_divergence(golden, attest_scenario(scenario))
         if divergence is None:
             result.checked.append(name)
         else:

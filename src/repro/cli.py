@@ -185,8 +185,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         split_index=args.split_index,
         wire=args.wire,
         channel=channel,
-        compiled=not args.no_compiled,
-        planned=not args.no_plan,
         num_workers=args.num_workers,
     )
     images = dataset.images[:samples]
@@ -237,13 +235,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         server_model.compile_for_inference(), z_shape, optimize=optimize
     )
     print(f"# edge half ({args.backbone} @{args.input_size}px, "
-          f"batch {args.batch_size}, compute {args.compute})")
-    if args.compute == "quant8":
-        from .nn.engine.quant import QuantizedPlan
-
-        print(QuantizedPlan(edge_plan).describe())
-    else:
-        print(edge_plan.describe())
+          f"batch {args.batch_size})")
+    print(edge_plan.describe())
     print()
     print("# server half")
     print(server_plan.describe())
@@ -602,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_split_sweep)
 
     p = sub.add_parser(
-        "pipeline", help="overlapped split-pipeline throughput (fused inference)"
+        "pipeline", help="overlapped split-pipeline throughput (planned engine)"
     )
     p.add_argument("--backbone", default="mobilenet_v3_tiny")
     p.add_argument("--batches", type=int, default=8)
@@ -613,11 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth-mbps", type=float, default=1000)
     p.add_argument("--epochs", type=int, default=1,
                    help="quick training epochs before deployment (0 = raw init)")
-    p.add_argument("--no-compiled", action="store_true",
-                   help="run the eval-mode forward instead of the fused engine")
-    p.add_argument("--no-plan", action="store_true",
-                   help="skip the arena-planned execution engine "
-                        "(run the plain fused session)")
     p.add_argument("--num-workers", type=int, default=1,
                    help="batch shards run by the planned engine's thread pool")
     p.add_argument("--seed", type=int, default=0)
@@ -640,11 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--no-optimize", action="store_true",
                     help="show the straight-line lowering instead of the "
                          "optimized plan")
-    pd.add_argument("--compute", choices=("float32", "quant8"),
-                    default="float32",
-                    help="numeric tier for the edge half (quant8 shows the "
-                         "int8 overlay: quantized steps + fused requant "
-                         "chains; scales calibrate on the first batch)")
     pd.add_argument("--seed", type=int, default=0)
     pd.set_defaults(func=_cmd_plan)
 

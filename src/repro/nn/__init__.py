@@ -45,7 +45,7 @@ from .tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, st
 from . import fuse
 from .fuse import InferenceSession, compile_module
 from . import engine
-from .engine import ExecutionPlan, PlannedExecutor, plan_session
+from .engine import ExecutionPlan, PlannedExecutor
 
 __all__ = [
     "Tensor",
@@ -62,7 +62,6 @@ __all__ = [
     "engine",
     "ExecutionPlan",
     "PlannedExecutor",
-    "plan_session",
     "gradcheck",
     "numerical_gradient",
     "Parameter",

@@ -39,16 +39,11 @@ optimizes what is left.  Compilation is a three-phase pipeline:
 API, caches plans per observed batch shape in a bounded LRU, and — with
 ``num_workers > 1`` — shards the batch across a persistent thread pool.
 
-Optimized plans match the unoptimized plan and the unplanned compiled
-forward within 1e-6 — the property the engine tests assert across
-backbones, split indices, batch sizes and worker counts.
-
-A fourth, optional phase is the **quant8 compute tier**
-(:mod:`~repro.nn.engine.quant`): ``plan_session(..., compute="quant8")``
-overlays the bound float plan with int8 operands and exact int32
-accumulation (per-channel weight scales at plan time, activation scales
-calibrated on the first batch, fused int8→int8 requantization between
-adjacent quantized steps).
+Optimized plans match the unoptimized plan bit for bit and the fused
+session (the lowering front-end, kept as the test reference and as the
+fallback for programs the planner refuses) within 1e-6 — the property
+the engine tests assert across backbones, split indices, batch sizes and
+worker counts.
 """
 
 from .executor import (
@@ -57,11 +52,9 @@ from .executor import (
     PlanStats,
     PlanTemplate,
     PlannedExecutor,
-    plan_session,
 )
 from .ir import PlanIR, Step, Unplannable, estimate_step_cost, lower_session
 from .passes import L2_BUDGET_BYTES, run_passes
-from .quant import QuantizationError, QuantizedPlan
 
 __all__ = [
     "BufferArena",
@@ -75,8 +68,5 @@ __all__ = [
     "lower_session",
     "run_passes",
     "L2_BUDGET_BYTES",
-    "plan_session",
     "estimate_step_cost",
-    "QuantizationError",
-    "QuantizedPlan",
 ]

@@ -40,7 +40,6 @@ __all__ = [
     "PlanStats",
     "PlanTemplate",
     "PlannedExecutor",
-    "plan_session",
 ]
 
 
@@ -121,8 +120,6 @@ class PlanStats:
     layout_repacks: int = 0  # operands canonicalized at plan time (repack pass)
     bind_repacks: int = 0  # operands the *binder* still had to copy (0 when optimized)
     depthwise_rows_ops: int = 0  # depthwise steps running the row-vector kernel
-    quant_steps: int = 0  # steps executing with int32 accumulation (quant8)
-    quant_chains: int = 0  # int8->int8 fused requantization hand-offs (quant8)
 
     @property
     def reuse_ratio(self) -> float:
@@ -227,10 +224,6 @@ class _Binder:
         self.batch = ir.batch
         self.bindings: Dict[int, _Value] = {}
         self.steps: List[Tuple[str, Callable[[], None]]] = []
-        # Per-step records of the quantizable producers (step, operand
-        # views, full epilogue with resolved skip arrays) — the quant8
-        # overlay compiles replacement closures from these.
-        self.records: Dict[int, Dict] = {}
         self.last_read: Dict[int, int] = {}
         self.protected = {ir.root(ir.input)}
         for vid in ir.outputs.values():
@@ -271,17 +264,6 @@ class _Binder:
             return arr
         self.stats.bind_repacks += 1
         return np.ascontiguousarray(arr, dtype=np.float32)
-
-    def _record(self, step: Step, **payload) -> None:
-        epi = [
-            ("add", self.resolve(entry[1])) if entry[0] == "add" else entry
-            for entry in step.epilogue
-        ]
-        payload["step"] = step
-        payload["epi"] = epi
-        payload["ir_index"] = self._index
-        payload["fn_index"] = len(self.steps) - 1  # emit precedes _record
-        self.records[self._index] = payload
 
     def emit(self, label: str, fn: Callable[[], None]) -> None:
         self.steps.append((label, fn))
@@ -415,7 +397,6 @@ class _Binder:
                 ),
             ),
         )
-        self._record(step, kind="gemm", x2=x2, y2=y2, out=out, weight=weight)
         self.stats.gemm_ops += 1
 
     _bind_gemm = _bind_conv_gemm  # linear layers bind identically
@@ -471,9 +452,6 @@ class _Binder:
                 main, self._bind_epilogue(step, out, skip_first=1 if prefill else 0)
             ),
         )
-        self._record(
-            step, kind="spmm", x2=x2, y2=y2, out=out, conv=(step.op,) + geometry,
-        )
         self.stats.sparse_ops += 1
 
     def _bind_conv_gather_gemm(self, step: Step) -> None:
@@ -489,8 +467,7 @@ class _Binder:
         # reference plans bind the same copies (borders re-zeroed per run,
         # the column buffer is recycled arena scratch).
         im2col = kernels.conv_csr_cached(op, "im2col", kernels.im2col_copies, *geometry)
-        cols_shape = (c_in, op.kh, op.kw, ho, wo, n)
-        cid, cols = self.scratch(cols_shape)
+        cid, cols = self.scratch((c_in, op.kh, op.kw, ho, wo, n))
         gather = im2col.bind(x, cols)
         cols2 = cols.reshape(ckk, -1)
         beta = bool(step.attrs.get("beta_gemm") and step.epilogue)
@@ -512,10 +489,6 @@ class _Binder:
             self._chain(
                 main, self._bind_epilogue(step, out, skip_first=1 if beta else 0)
             ),
-        )
-        self._record(
-            step, kind="gather_gemm", x2=x, y2=y2, out=out,
-            weight=weight, im2col=im2col, cols_shape=cols_shape,
         )
         self.stats.gemm_ops += 1
         self.arena.release(cid)
@@ -824,8 +797,7 @@ class ExecutionPlan:
     against a private :class:`BufferArena`.  ``run`` executes the bound
     steps and writes results either into caller-provided output arrays
     (``out=``) or into plan-owned row-major result buffers (valid until
-    the next ``run``).  ``probe`` is accepted and ignored (it used to
-    switch off a timing-based kernel probe that no longer exists).
+    the next ``run``).
     """
 
     def __init__(
@@ -834,11 +806,9 @@ class ExecutionPlan:
         batch_shape: Tuple[int, ...],
         optimize: bool = True,
         l2_bytes: int = L2_BUDGET_BYTES,
-        probe: bool = True,
         disabled_passes: Tuple[str, ...] = (),
         template: Optional[PlanTemplate] = None,
     ):
-        del probe
         self.session = session
         self.batch_shape = tuple(int(s) for s in batch_shape)
         if template is None:
@@ -857,7 +827,6 @@ class ExecutionPlan:
         binder.bind()
         self._steps = binder.steps
         self._step_fns = [fn for _, fn in binder.steps]
-        self._records = binder.records  # quant8 overlay inputs
         self._in_view = np.moveaxis(in_array, -1, 0)  # row-shaped strided view
 
         self._outputs: Dict[Optional[str], _Value] = {}
@@ -893,10 +862,7 @@ class ExecutionPlan:
     __call__ = run
 
     def _collect(self, out):
-        """Copy arena output views into ``out`` (or cached result arrays).
-
-        Shared with the quant8 overlay, which runs its own step list but
-        reuses the plan's arena, views and output buffers."""
+        """Copy arena output views into ``out`` (or cached result arrays)."""
         if out is None:
             if self._results is None:
                 self._results = {
@@ -991,22 +957,16 @@ class PlannedExecutor:
         copy_outputs: bool = False,
         max_plans: int = 8,
         optimize: bool = True,
-        compute: str = "float32",
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if max_plans < 1:
             raise ValueError(f"max_plans must be >= 1, got {max_plans}")
-        if compute not in ("float32", "quant8"):
-            raise ValueError(
-                f"compute must be 'float32' or 'quant8', got {compute!r}"
-            )
         self.session = session
         self.num_workers = int(num_workers)
         self.copy_outputs = copy_outputs
         self.max_plans = int(max_plans)
         self.optimize = bool(optimize)
-        self.compute = compute
         self._prepared: "OrderedDict[Tuple[int, ...], _PreparedBatch]" = OrderedDict()
         self._templates: "OrderedDict[Tuple[int, ...], PlanTemplate]" = OrderedDict()
         self._template_lock = threading.Lock()
@@ -1014,14 +974,6 @@ class PlannedExecutor:
         self._unplannable = False
 
     # -- plan management ------------------------------------------------
-    def _wrap(self, plan: ExecutionPlan):
-        """Overlay the quant8 compute tier on a float plan when selected."""
-        if self.compute != "quant8":
-            return plan
-        from .quant import QuantizedPlan
-
-        return QuantizedPlan(plan)
-
     def _template(self, image_shape: Tuple[int, ...]) -> PlanTemplate:
         """The (LRU-cached) template all plans of one input geometry share.
         Locked: provenance digests read it off the serving thread."""
@@ -1059,9 +1011,7 @@ class PlannedExecutor:
                 parts.append(
                     (
                         slice(lo, hi),
-                        self._wrap(ExecutionPlan(
-                            self.session, shard_shape, template=template
-                        )),
+                        ExecutionPlan(self.session, shard_shape, template=template),
                     )
                 )
         sample = parts[0][1]
@@ -1159,7 +1109,7 @@ class PlannedExecutor:
         header = (
             f"PlannedExecutor(workers={self.num_workers}, "
             f"plans={sum(len(p.parts) for p in self._prepared.values())}, "
-            f"optimize={self.optimize}, compute={self.compute})"
+            f"optimize={self.optimize})"
         )
         return "\n".join([header, self.session.describe()])
 
@@ -1168,9 +1118,3 @@ class PlannedExecutor:
             f"PlannedExecutor(workers={self.num_workers}, "
             f"shapes={list(self._prepared)}, session={self.session!r})"
         )
-
-
-def plan_session(session: InferenceSession, **knobs) -> PlannedExecutor:
-    """Wrap a compiled session in a lazily-planning, batch-sharded executor
-    (``knobs`` are :class:`PlannedExecutor`'s keyword arguments)."""
-    return PlannedExecutor(session, **knobs)

@@ -213,7 +213,7 @@ def conv_csr_cached(op, kind: str, builder, c_in, h, w, ho, wo):
 
 def conv_matrix(op, c_in, h, w, ho, wo):
     """The conv's whole-linear-map CSR, built on first use: lowering does
-    not need it, only the steps that run per-plane CSR (and quant8) do."""
+    not need it, only the steps that run per-plane CSR do."""
     return conv_csr_cached(op, "weight", weight_csr, c_in, h, w, ho, wo)
 
 
@@ -244,7 +244,7 @@ def _records(array: np.ndarray) -> np.ndarray:
 
     A strided gather then moves one ``4n``-byte pixel per element instead
     of running an ``n``-float inner loop per pixel (10x faster at
-    ``n = 2``); the dtype does not matter, so int32 buffers work too.
+    ``n = 2``).
     """
     record = np.dtype((np.void, array.itemsize * array.shape[-1]))
     return array.view(record)[..., 0]

@@ -10,7 +10,7 @@ numpy-only ops, folds eval-mode batch normalisation into the preceding
 convolution / linear weights, fuses elementwise activations into their
 producer (applied in place on freshly allocated outputs), and executes
 convolutions through :func:`repro.nn.functional.cached_einsum` contraction
-plans with optionally reused output buffers.
+plans.
 
 The result is an :class:`InferenceSession` whose outputs match the
 eval-mode ``Tensor`` forward within ``1e-4`` — the guarantee the property
@@ -197,10 +197,8 @@ class ConvOp(_Op):
             if bias is not None
             else None
         )
-        self.reuse_buffers = False
         self._flat_wt: Optional[np.ndarray] = None
         self._w_g: Optional[np.ndarray] = None
-        self._acc_buf: Optional[np.ndarray] = None
         self._kernel_choice: Dict[Tuple[int, ...], Callable] = {}
         self._im2col_idx: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
         self._dw_offsets: Dict[Tuple[int, ...], list] = {}
@@ -235,15 +233,6 @@ class ConvOp(_Op):
                 self.weight.reshape(g, self.c_out // g, -1, self.kh, self.kw)
             )
         return self._w_g
-
-    def _accumulator(self, shape: Tuple[int, ...]) -> np.ndarray:
-        if not self.reuse_buffers:
-            return np.zeros(shape, dtype=np.float32)
-        if self._acc_buf is None or self._acc_buf.shape != shape:
-            self._acc_buf = np.zeros(shape, dtype=np.float32)
-        else:
-            self._acc_buf.fill(0.0)
-        return self._acc_buf
 
     # -- execution ------------------------------------------------------
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -337,7 +326,7 @@ class ConvOp(_Op):
         return idx
 
     def _depthwise_offsets(self, x_pad, n, c_in, ho, wo):
-        out = self._accumulator((n, self.c_out, ho, wo))
+        out = np.zeros((n, self.c_out, ho, wo), dtype=np.float32)
         for w_col, h_slice, w_slice in self._depthwise_offset_table(
             x_pad.shape, ho, wo
         ):
@@ -797,19 +786,6 @@ class InferenceSession:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
-
-    # -- buffer management ---------------------------------------------
-    def enable_buffer_reuse(self) -> "InferenceSession":
-        """Reuse convolution output buffers across calls.
-
-        Only safe when each ``run`` result is fully consumed before the
-        next call (e.g. the edge runtime, which serialises ``Z_b`` to
-        bytes immediately); outputs may alias internal storage.
-        """
-        for op in self._walk():
-            if hasattr(op, "reuse_buffers"):
-                op.reuse_buffers = True
-        return self
 
     def _walk(self):
         programs = [self.ops] + (list(self.heads.values()) if self.heads else [])

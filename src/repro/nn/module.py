@@ -146,7 +146,6 @@ class Module:
         copy_outputs: bool = False,
         max_plans: int = 8,
         optimize: bool = True,
-        compute: str = "float32",
     ):
         """Compile this module's eval-mode forward into an autograd-free
         :class:`~repro.nn.fuse.InferenceSession`.
@@ -167,28 +166,20 @@ class Module:
         ``num_workers`` worker threads.  The per-shape plan cache is a
         bounded LRU of ``max_plans`` entries.  Planned outputs are
         executor-owned and overwritten by the next call unless
-        ``copy_outputs=True``.  ``compute="quant8"`` overlays the planned
-        engine's int8 tier (per-channel weight scales, int32
-        accumulation, first batch calibrates and returns float results —
-        see :mod:`repro.nn.engine.quant`); it requires ``plan=True``.
+        ``copy_outputs=True``.
         """
         from .fuse import compile_module, verify_session
 
         session = compile_module(self)
         if plan or num_workers > 1:
-            from .engine import plan_session
+            from .engine import PlannedExecutor
 
-            session = plan_session(
+            session = PlannedExecutor(
                 session,
                 num_workers=num_workers,
                 copy_outputs=copy_outputs,
                 max_plans=max_plans,
                 optimize=optimize,
-                compute=compute,
-            )
-        elif compute != "float32":
-            raise ValueError(
-                f"compute={compute!r} requires the planned engine (plan=True)"
             )
         if sample_input is not None:
             verify_session(self, session, sample_input, atol=atol)

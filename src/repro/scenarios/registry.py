@@ -123,30 +123,3 @@ for _family, _backbone in BACKBONE_FAMILIES.items():
                 description=f"{_family} at {_px}px — {_TIER_BLURBS[_tier]}",
             )
         )
-
-# quant8 *compute*-tier variants of every hires scenario.  Additive, not
-# a flip of the float32 rows: the float32 hires scenarios are the
-# reference points every equivalence gate compares against, while these
-# run the edge half in the int8 tier (int32 accumulation, per-channel
-# weight scales) so the accuracy-vs-latency trade is measured per
-# backbone — see BENCH_edge_quant8 and docs/benchmarking.md.
-for _family, _backbone in BACKBONE_FAMILIES.items():
-    _px, _bs, _nb, _wire, _channel, _split = _TIER_SETTINGS["hires"]
-    register_scenario(
-        Scenario(
-            name=f"{_family}_hires_{_px}px_quant8",
-            backbone=_backbone,
-            tier="hires",
-            input_size=_px,
-            batch_size=_bs,
-            batches=_nb,
-            split_index=_split,
-            wire=_wire,
-            channel=_channel,
-            compute="quant8",
-            description=(
-                f"{_family} at {_px}px, edge in the quant8 compute tier — "
-                "int8 operands / int32 accumulation on the planned engine"
-            ),
-        )
-    )

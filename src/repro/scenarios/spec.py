@@ -90,13 +90,8 @@ class Scenario:
     channel:
         A channel *preset name* (scenarios are named curated workloads;
         custom channel objects belong in a ``DeploymentSpec``).
-    num_workers / optimize / planned:
+    num_workers / optimize:
         Engine knobs forwarded to the deployment.
-    compute:
-        Numeric tier for the edge half: ``"float32"`` (default) or
-        ``"quant8"`` (int8 operands / int32 accumulation on the planned
-        edge engine; the server half stays float32).  Distinct from
-        ``wire``, which only quantizes the transmitted tensor.
     noise_amount:
         Salt-and-pepper corruption applied to the synthetic traffic.
     arrival:
@@ -122,8 +117,6 @@ class Scenario:
     channel: str = "gigabit_ethernet"
     num_workers: int = 1
     optimize: bool = True
-    planned: bool = True
-    compute: str = "float32"
     noise_amount: float = 0.1
     arrival: Optional[str] = None
     seed: int = 0
@@ -201,14 +194,6 @@ class Scenario:
             f"num_workers must be a positive int, got {self.num_workers!r}",
         )
         _check(
-            self.compute in ("float32", "quant8"),
-            f"compute must be 'float32' or 'quant8', got {self.compute!r}",
-        )
-        _check(
-            self.compute == "float32" or self.planned,
-            "compute='quant8' requires the planned engine (planned=True)",
-        )
-        _check(
             0.0 <= float(self.noise_amount) <= 1.0,
             f"noise_amount must be in [0, 1], got {self.noise_amount!r}",
         )
@@ -247,8 +232,6 @@ class Scenario:
             channel=self.channel,
             num_workers=self.num_workers,
             optimize=self.optimize,
-            planned=self.planned,
-            compute=self.compute,
             max_batch_size=max(self.batch_size, 1),
             seed=self.seed,
         )
@@ -306,8 +289,6 @@ class Scenario:
             "channel": self.channel,
             "num_workers": self.num_workers,
             "optimize": self.optimize,
-            "planned": self.planned,
-            "compute": self.compute,
             "noise_amount": self.noise_amount,
             "arrival": self.arrival,
             "seed": self.seed,
@@ -354,5 +335,4 @@ class Scenario:
             f"{self.batches}x{self.batch_size} images, split={cut}, "
             f"wire={self.wire}, channel={self.channel}, "
             f"workers={self.num_workers}"
-            + ("" if self.compute == "float32" else f", compute={self.compute}")
         )

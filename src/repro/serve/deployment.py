@@ -5,7 +5,7 @@
 that previously had to be wired by hand across six layers::
 
     build/adopt net -> resolve cut (optionally via the latency optimizer)
-      -> split -> compile (fuse) -> plan (engine) -> wire + channel
+      -> split -> lower (fuse) -> plan (engine) -> wire + channel
         -> pipeline -> dynamic-batching front-end
 
 The resulting object exposes the three serving surfaces:
@@ -113,8 +113,6 @@ class Deployment:
             split_index=self.split_index,
             input_size=spec.input_size,
             wire_format=spec.wire_format(),
-            compiled=spec.compiled,
-            planned=spec.planned,
             num_workers=spec.num_workers,
             optimize=spec.optimize,
             max_cached_plans=spec.max_cached_plans,
@@ -123,7 +121,6 @@ class Deployment:
             max_retries=spec.max_retries,
             retry_backoff_s=spec.retry_backoff_ms / 1000.0,
             probe_every=spec.probe_every,
-            compute=spec.compute,
         )
         self.cache: Optional[ServeCache] = self._build_cache()
         if self.cache is not None and self.cache.feature is not None:
@@ -202,13 +199,8 @@ class Deployment:
 
     @property
     def execution_mode(self) -> str:
-        """How the halves execute: planned engine / fused/compiled / eval-mode."""
-        if self.pipeline.edge.planned:
-            tier = "" if self.spec.compute == "float32" else f", edge {self.spec.compute}"
-            return f"planned engine ({self.spec.num_workers} worker(s){tier})"
-        if self.pipeline.edge.compiled:
-            return "fused/compiled"
-        return "eval-mode"
+        """How the halves execute, for banners and logs."""
+        return f"planned engine ({self.spec.num_workers} worker(s))"
 
     def describe(self) -> str:
         cut = self.split_index if self.split_index is not None else "backbone/heads"

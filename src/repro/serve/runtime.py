@@ -9,14 +9,14 @@ when the float32 wire format is used — the property the integration tests
 assert — and the accumulated timing gives a measured (not merely
 modelled) view of where inference time goes.
 
-Both runtimes execute through the fused inference compiler
-(:mod:`repro.nn.fuse`) by default: batch-norm folded into conv weights,
-activations fused, no autograd graph.  On top of that, the arena-planned
-execution engine (:mod:`repro.nn.engine`) is enabled by default: a static
-per-batch-shape plan with preallocated buffers and sparse-lowered
-convolutions, optionally batch-sharded across ``num_workers`` threads.
-Pass ``planned=False`` for the plain fused session or ``compiled=False``
-for the eval-mode ``Tensor`` forward.
+Both runtimes execute one way: the half is lowered by the fused inference
+compiler (:mod:`repro.nn.fuse` — batch-norm folded into conv weights,
+activations fused, no autograd graph) and run by the arena-planned
+execution engine (:mod:`repro.nn.engine`): a static per-batch-shape plan
+with preallocated buffers and sparse-lowered convolutions, optionally
+batch-sharded across ``num_workers`` threads.  A half the planner refuses
+(``Unplannable``) runs through the fused session instead — a fallback the
+executor takes on its own, not a mode a caller selects.
 
 :meth:`SplitPipeline.infer_stream` additionally *overlaps* the stages:
 a double-buffered server worker consumes payloads while the edge computes
@@ -43,12 +43,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import nn
 from ..core.architecture import EdgeModel, MTLSplitNet, ServerModel
 from ..deployment.channel import NetworkChannel
 from ..deployment.wire import WireFormat, decode_tensor, encode_tensor
 from ..nn.engine import PlanStats, PlannedExecutor, Unplannable
-from ..nn.tensor import Tensor
 from .faults import (
     FALLBACK_MODES,
     ChannelDownError,
@@ -82,80 +80,48 @@ class InferenceTrace:
         return self.edge_seconds + self.transfer_seconds + self.server_seconds
 
 
-def _build_session(
-    model, compiled, planned, num_workers, copy_outputs, reuse_buffers,
-    optimize=True, max_cached_plans=8, compute="float32",
-):
-    """Shared session-selection ladder for the two runtimes."""
-    if not compiled:
-        return None
-    if planned:  # planned=False wins even when num_workers was raised
-        return model.compile_for_inference(
-            plan=True, num_workers=num_workers, copy_outputs=copy_outputs,
-            optimize=optimize, max_plans=max_cached_plans, compute=compute,
-        )
-    session = model.compile_for_inference()
-    return session.enable_buffer_reuse() if reuse_buffers else session
-
-
 class _RuntimeBase:
     """Lifecycle + plan introspection shared by the two stage runtimes.
 
-    A runtime's session may hold a :class:`~repro.nn.engine.PlannedExecutor`
+    A runtime's session is a :class:`~repro.nn.engine.PlannedExecutor`
     whose worker pool keeps daemon threads alive; :meth:`close` releases
     them.  Runtimes are context managers so deployments can scope the
     resources: ``with EdgeRuntime(model) as edge: ...``.
     """
 
-    session = None
-
-    @property
-    def compiled(self) -> bool:
-        return self.session is not None
+    session: PlannedExecutor
 
     @property
     def planned(self) -> bool:
-        return isinstance(self.session, PlannedExecutor) and self.session.planned
+        """False once the planner refused this half (``Unplannable``) and
+        the executor fell back to its fused session."""
+        return self.session.planned
 
     @property
-    def plan_stats(self) -> Optional[PlanStats]:
-        if isinstance(self.session, PlannedExecutor):
-            return self.session.stats
-        return None
+    def plan_stats(self) -> PlanStats:
+        return self.session.stats
 
-    def plan_provenance(self, batch_shape: Optional[Tuple[int, ...]] = None) -> str:
+    def plan_provenance(self, batch_shape: Tuple[int, ...]) -> str:
         """Deterministic text describing exactly how this half computes.
 
         The plan half of the serve-cache provenance digest and the
-        :mod:`repro.attest` plan digest: for the planned engine this is
-        the *optimized plan IR* lowered for ``batch_shape`` — so an
-        optimizer pass change or an ``optimize`` flag flip changes the
-        digest and retires every cached entry — and for the un-planned
-        modes it is the fused session description / an eval-mode marker.
-        No arena is allocated, and the depthwise probe stays off (a
-        digest must never depend on timing noise):
+        :mod:`repro.attest` plan digest: the *optimized plan IR* lowered
+        for ``batch_shape`` — so an optimizer pass change or an
+        ``optimize`` flag flip changes the digest and retires every
+        cached entry — or, for a half the planner refuses, the fused
+        session description.  No arena is allocated:
         :meth:`~repro.nn.engine.PlannedExecutor.plan_ir` is pure IR work
         on the executor's shared plan template.
         """
-        if isinstance(self.session, PlannedExecutor):
-            header = (
-                f"planned optimize={self.session.optimize} "
-                f"compute={self.session.compute}"
-            )
-            if batch_shape is not None:
-                try:
-                    return f"{header}\n{self.session.plan_ir(batch_shape).describe()}"
-                except Unplannable:
-                    pass
-            return f"{header}\n{self.session.session.describe()}"
-        if self.session is not None:
-            return f"compiled\n{self.session.describe()}"
-        return "eval-mode"
+        try:
+            body = self.session.plan_ir(batch_shape).describe()
+        except Unplannable:
+            body = self.session.session.describe()
+        return f"planned optimize={self.session.optimize}\n{body}"
 
     def close(self) -> None:
         """Release session resources (worker threads, cached plans)."""
-        if self.session is not None:
-            self.session.close()
+        self.session.close()
 
     def __enter__(self):
         return self
@@ -167,35 +133,27 @@ class _RuntimeBase:
 class EdgeRuntime(_RuntimeBase):
     """Runs the edge half and serialises ``Z_b`` for transmission.
 
-    With ``compiled=True`` (the default) the half executes through a
-    fused :class:`~repro.nn.fuse.InferenceSession`; with ``planned=True``
-    (also the default) that session is additionally wrapped in a
-    :class:`~repro.nn.engine.PlannedExecutor` — a static, arena-backed
-    execution plan per batch shape, optionally batch-sharded across
-    ``num_workers`` worker threads.  Executor-owned outputs are safe here
-    because every ``Z_b`` is serialised to bytes before the next batch.
+    The half executes through a :class:`~repro.nn.engine.PlannedExecutor`
+    — a static, arena-backed execution plan per batch shape, optionally
+    batch-sharded across ``num_workers`` worker threads.  Executor-owned
+    outputs are safe here because every ``Z_b`` is serialised to bytes
+    before the next batch.
     """
 
     def __init__(
         self,
         model: EdgeModel,
         wire_format: WireFormat = WireFormat(),
-        compiled: bool = True,
-        planned: bool = True,
         num_workers: int = 1,
         optimize: bool = True,
         max_cached_plans: int = 8,
-        compute: str = "float32",
     ):
         self.model = model
         self.wire_format = wire_format
-        self.compute = compute
         self.model.eval()
-        self.session = _build_session(
-            model, compiled, planned, num_workers,
-            copy_outputs=False, reuse_buffers=True,
-            optimize=optimize, max_cached_plans=max_cached_plans,
-            compute=compute,
+        self.session = model.compile_for_inference(
+            plan=True, num_workers=num_workers, copy_outputs=False,
+            optimize=optimize, max_plans=max_cached_plans,
         )
 
     def forward(self, images: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -207,11 +165,7 @@ class EdgeRuntime(_RuntimeBase):
         feature cache) must copy them out before the next batch runs.
         """
         start = time.perf_counter()
-        if self.session is not None:
-            z_b = self.session.run(images)
-        else:
-            with nn.no_grad():
-                z_b = self.model(Tensor(images)).data
+        z_b = self.session.run(images)
         return z_b, time.perf_counter() - start
 
     def encode(self, z_b: np.ndarray) -> bytes:
@@ -222,19 +176,17 @@ class EdgeRuntime(_RuntimeBase):
     def output_shape(self, batch_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         """The shape of ``Z_b`` for ``batch_shape`` inputs.
 
-        Read off the plan template for planned sessions (no forward, no
-        arena); the other modes run one zeros forward.  Used to lower the
-        *server* half's plan for provenance digests without running real
-        traffic.
+        Read off the plan template (no forward, no arena); a half the
+        planner refuses runs one zeros forward through its fallback
+        session.  Used to lower the *server* half's plan for provenance
+        digests without running real traffic.
         """
-        if self.planned:
-            try:
-                ir = self.session.plan_ir(batch_shape)
-                return ir.values[ir.outputs[None]].row_shape
-            except Unplannable:
-                pass
-        z_b, _ = self.forward(np.zeros(batch_shape, dtype=np.float32))
-        return tuple(z_b.shape)
+        try:
+            ir = self.session.plan_ir(batch_shape)
+            return ir.values[ir.outputs[None]].row_shape
+        except Unplannable:
+            z_b, _ = self.forward(np.zeros(batch_shape, dtype=np.float32))
+            return tuple(z_b.shape)
 
     def infer(self, images: np.ndarray) -> Tuple[bytes, float]:
         """Return ``(payload, edge_compute_seconds)`` for a batch."""
@@ -242,7 +194,6 @@ class EdgeRuntime(_RuntimeBase):
         z_b, _ = self.forward(images)
         payload = self.encode(z_b)
         return payload, time.perf_counter() - start
-
 
 
 class ServerRuntime(_RuntimeBase):
@@ -257,8 +208,6 @@ class ServerRuntime(_RuntimeBase):
         self,
         model: ServerModel,
         task_names: Tuple[str, ...],
-        compiled: bool = True,
-        planned: bool = True,
         num_workers: int = 1,
         optimize: bool = True,
         max_cached_plans: int = 8,
@@ -266,23 +215,16 @@ class ServerRuntime(_RuntimeBase):
         self.model = model
         self.task_names = task_names
         self.model.eval()
-        self.session = _build_session(
-            model, compiled, planned, num_workers,
-            copy_outputs=True, reuse_buffers=False,
-            optimize=optimize, max_cached_plans=max_cached_plans,
+        self.session = model.compile_for_inference(
+            plan=True, num_workers=num_workers, copy_outputs=True,
+            optimize=optimize, max_plans=max_cached_plans,
         )
 
     def infer(self, payload: bytes) -> Tuple[Dict[str, np.ndarray], float]:
         """Return ``(per-task logits, server_compute_seconds)``."""
         start = time.perf_counter()
-        z_flat = decode_tensor(payload)
-        if self.session is not None:
-            outputs = self.session.run(z_flat)
-            logits = {name: outputs[name] for name in self.task_names}
-        else:
-            with nn.no_grad():
-                outputs = self.model(Tensor(z_flat))
-            logits = {name: outputs[name].data for name in self.task_names}
+        outputs = self.session.run(decode_tensor(payload))
+        logits = {name: outputs[name] for name in self.task_names}
         return logits, time.perf_counter() - start
 
 
@@ -317,11 +259,11 @@ class ThroughputReport:
     the measured wall time of the double-buffered run (transfer is
     modelled, not slept, so it does not appear in the wall clock).
 
-    When the runtimes execute through the planned engine, the report also
-    carries the allocation accounting: ``num_workers`` (batch shards per
-    stage), ``arena_bytes`` (preallocated buffer arenas across both
-    stages) and ``steady_state_allocs`` (per-batch allocations planning
-    could not remove — zero for fully planned programs) — plus the
+    The report also carries the plan engine's allocation accounting:
+    ``num_workers`` (batch shards per stage), ``arena_bytes``
+    (preallocated buffer arenas across both stages) and
+    ``steady_state_allocs`` (per-batch allocations planning could not
+    remove — zero for fully planned programs) — plus the
     optimizer accounting: ``fused_steps`` (bias/act/affine/residual
     steps absorbed into GEMM/SpMM epilogues), ``elided_copies``
     (activations rewritten to run in place), ``aliased_views``
@@ -447,30 +389,15 @@ class ThroughputReport:
         transfer: Sequence[float],
         server: Sequence[float],
         wall_seconds: float,
-        num_workers: int = 1,
-        arena_bytes: int = 0,
-        steady_state_allocs: int = 0,
-        fused_steps: int = 0,
-        elided_copies: int = 0,
-        aliased_views: int = 0,
-        spmm_row_blocks: int = 0,
-        shed: int = 0,
-        deadline_misses: int = 0,
-        retries: int = 0,
-        fallback_batches: int = 0,
-        fallback_seconds: float = 0.0,
-        link_down_events: int = 0,
-        recoveries: int = 0,
-        server_crashes: int = 0,
         **counters: object,
     ) -> "ThroughputReport":
         """Build a report, scheduling the three stages as a pipeline.
 
         Each stage processes batches in order and holds one batch at a
         time; batch *i* enters a stage once both the previous stage has
-        produced it and the stage finished batch *i−1*.  Extra keyword
-        ``counters`` set further report fields by name (e.g. the
-        per-tier cache counters).
+        produced it and the stage finished batch *i−1*.  Keyword
+        ``counters`` set the remaining report fields by name (engine,
+        robustness and per-tier cache accounting).
         """
         edge_done = transfer_done = server_done = 0.0
         for e, t, s in zip(edge, transfer, server):
@@ -485,21 +412,6 @@ class ThroughputReport:
             transfer_seconds=float(sum(transfer)),
             server_seconds=float(sum(server)),
             pipelined_seconds=server_done,
-            num_workers=num_workers,
-            arena_bytes=arena_bytes,
-            steady_state_allocs=steady_state_allocs,
-            fused_steps=fused_steps,
-            elided_copies=elided_copies,
-            aliased_views=aliased_views,
-            spmm_row_blocks=spmm_row_blocks,
-            shed=shed,
-            deadline_misses=deadline_misses,
-            retries=retries,
-            fallback_batches=fallback_batches,
-            fallback_seconds=fallback_seconds,
-            link_down_events=link_down_events,
-            recoveries=recoveries,
-            server_crashes=server_crashes,
             **counters,
         )
 
@@ -644,8 +556,6 @@ class SplitPipeline:
         split_index: Optional[int] = None,
         input_size: int = 32,
         wire_format: WireFormat = WireFormat(),
-        compiled: bool = True,
-        planned: bool = True,
         num_workers: int = 1,
         optimize: bool = True,
         max_cached_plans: int = 8,
@@ -654,33 +564,27 @@ class SplitPipeline:
         max_retries: int = 2,
         retry_backoff_s: float = 0.01,
         probe_every: int = 8,
-        compute: str = "float32",
     ) -> "SplitPipeline":
         """Split ``net`` and wire the halves through a simulated channel.
 
-        ``planned`` runs both halves through the arena-backed execution
-        engine; ``num_workers`` shards each stage's batch across that
-        many worker threads; ``optimize`` runs the plan-IR optimizer
-        passes and ``max_cached_plans`` bounds each stage's per-shape
-        plan cache (see :mod:`repro.nn.engine`).  ``faults`` attaches a
+        Both halves run through the arena-backed execution engine;
+        ``num_workers`` shards each stage's batch across that many worker
+        threads; ``optimize`` runs the plan-IR optimizer passes and
+        ``max_cached_plans`` bounds each stage's per-shape plan cache
+        (see :mod:`repro.nn.engine`).  ``faults`` attaches a
         deterministic :class:`~repro.serve.faults.FaultPlan` to the wire;
         ``fallback``/``max_retries``/``retry_backoff_s``/``probe_every``
         configure the degradation state machine (class docstring).
-        ``compute="quant8"`` runs the *edge* half in the int8 tier (the
-        server half always stays float32 — see ``DeploymentSpec``).
         """
         edge_model, server_model = net.split(split_index, input_size=input_size)
         return cls(
             EdgeRuntime(
-                edge_model, wire_format, compiled=compiled,
-                planned=planned, num_workers=num_workers,
+                edge_model, wire_format, num_workers=num_workers,
                 optimize=optimize, max_cached_plans=max_cached_plans,
-                compute=compute,
             ),
             SimulatedLink(channel),
             ServerRuntime(
-                server_model, net.task_names, compiled=compiled,
-                planned=planned, num_workers=num_workers,
+                server_model, net.task_names, num_workers=num_workers,
                 optimize=optimize, max_cached_plans=max_cached_plans,
             ),
             faults=faults,
@@ -703,26 +607,18 @@ class SplitPipeline:
         self.close()
 
     def _plan_accounting(self) -> Dict[str, int]:
-        """Engine accounting (workers, arena, allocs, optimizer) per stage."""
-        totals = {
-            "num_workers": 1, "arena_bytes": 0, "steady_state_allocs": 0,
-            "fused_steps": 0, "elided_copies": 0, "aliased_views": 0,
-            "spmm_row_blocks": 0,
+        """Engine accounting summed over both stages: every counter
+        :class:`~repro.nn.engine.PlanStats` and the report both name."""
+        stats = self.edge.plan_stats.merged(self.server.plan_stats)
+        shared = {spec.name for spec in dataclasses.fields(ThroughputReport)}
+        return {
+            spec.name: getattr(stats, spec.name)
+            for spec in dataclasses.fields(stats)
+            if spec.name in shared
         }
-        for runtime in (self.edge, self.server):
-            stats = getattr(runtime, "plan_stats", None)
-            if stats is not None:
-                totals["num_workers"] = max(totals["num_workers"], stats.num_workers)
-                totals["arena_bytes"] += stats.arena_bytes
-                totals["steady_state_allocs"] += stats.steady_state_allocs
-                totals["fused_steps"] += stats.fused_steps
-                totals["elided_copies"] += stats.elided_copies
-                totals["aliased_views"] += stats.aliased_views
-                totals["spmm_row_blocks"] += stats.spmm_row_blocks
-        return totals
 
     def warmup(self, images: np.ndarray) -> "SplitPipeline":
-        """Prime both halves (kernel auto-tuning, contraction plans).
+        """Prime both halves (plan build and arena for this batch shape).
 
         Runs one untraced end-to-end pass so that serving-time traces
         measure steady-state latency, the way a deployed engine would be

@@ -89,9 +89,9 @@ class DeploymentSpec:
         :func:`repro.deployment.device.available_devices`) or
         :class:`Device` objects; only consulted by the ``"auto"`` split
         optimizer.
-    compiled / planned / num_workers:
-        Execution-engine knobs, forwarded to the runtimes: fused
-        compilation, arena planning, and batch shards per stage.
+    num_workers:
+        Batch shards per stage: each half's plan engine splits a batch
+        across this many worker threads.
     optimize:
         Run the plan-IR optimizer passes (epilogue fusion, copy elision,
         kernel selection, blocked SpMM) on every execution plan.  On by
@@ -155,17 +155,6 @@ class DeploymentSpec:
     seed:
         RNG seed used when ``model`` is a registry name and the net is
         built (untrained) from scratch.
-    compute:
-        Numeric tier the *edge* half executes in.  ``"float32"`` (the
-        default) is the reference tier; ``"quant8"`` overlays the planned
-        edge engine with symmetric int8 operands and int32 accumulation
-        (per-channel weight scales fixed at plan time, activation scales
-        calibrated on the first served batch — see
-        :mod:`repro.nn.engine.quant`).  The server half always runs
-        float32: quantization is an edge-resource measure, and the head
-        stack is where small numeric deltas would compound.  Distinct
-        from ``wire``, which quantizes only the *transmitted* tensor.
-        Requires ``planned=True``.
     """
 
     model: Union[str, Any]
@@ -176,8 +165,6 @@ class DeploymentSpec:
     channel: Union[str, NetworkChannel] = "gigabit_ethernet"
     edge_device: Union[str, Device] = "jetson_nano"
     server_device: Union[str, Device] = "rtx3090_server"
-    compiled: bool = True
-    planned: bool = True
     num_workers: int = 1
     optimize: bool = True
     max_cached_plans: int = 8
@@ -193,7 +180,6 @@ class DeploymentSpec:
     cache: Optional[CachePolicy] = None
     replicas: int = 1
     seed: int = 0
-    compute: str = "float32"
 
     # ------------------------------------------------------------------
     # Validation / normalisation
@@ -255,14 +241,6 @@ class DeploymentSpec:
             WireFormat(self.wire)
         except ValueError as error:
             raise SpecError(str(error)) from None
-        _check(
-            self.compute in ("float32", "quant8"),
-            f"compute must be 'float32' or 'quant8', got {self.compute!r}",
-        )
-        _check(
-            self.compute == "float32" or self.planned,
-            "compute='quant8' requires the planned engine (planned=True)",
-        )
         if isinstance(self.channel, dict):
             try:
                 set_(self, "channel", NetworkChannel(**self.channel))
@@ -443,8 +421,6 @@ class DeploymentSpec:
             "channel": self._channel_to_jsonable(),
             "edge_device": self._device_to_jsonable(self.edge_device),
             "server_device": self._device_to_jsonable(self.server_device),
-            "compiled": self.compiled,
-            "planned": self.planned,
             "num_workers": self.num_workers,
             "optimize": self.optimize,
             "max_cached_plans": self.max_cached_plans,
@@ -460,7 +436,6 @@ class DeploymentSpec:
             "cache": self.cache.to_dict() if self.cache is not None else None,
             "replicas": self.replicas,
             "seed": self.seed,
-            "compute": self.compute,
         }
         return data
 
@@ -537,9 +512,8 @@ class DeploymentSpec:
             self.channel if isinstance(self.channel, str) else self.channel.name
         )
         cluster = f", replicas={self.replicas}" if self.replicas > 1 else ""
-        tier = f", compute={self.compute}" if self.compute != "float32" else ""
         return (
-            f"{model} @{self.input_size}px, split={cut}, wire={self.wire}{tier}, "
+            f"{model} @{self.input_size}px, split={cut}, wire={self.wire}, "
             f"channel={channel}, workers={self.num_workers}, "
             f"batch<= {self.max_batch_size} within {self.max_queue_delay_ms:g} ms"
             f"{cluster}"

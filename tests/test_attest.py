@@ -9,8 +9,7 @@ Three layers under test:
   fresh subprocess reproduces them bit-for-bit), the committed goldens
   match this checkout, the optimizer is bit-exact on the quick tier,
   and a single perturbed weight is caught *naming the divergent step*;
-* the policy — quant8 compute and cache-enabled specs are excluded
-  with named errors, and the record/verify sweep skips them visibly.
+* the policy — cache-enabled specs are excluded with a named error.
 
 Everything here runs on the quick tier (one attestation ~0.5 s); the
 hires goldens are host-gated and exercised only via ``--host-gated``.
@@ -278,11 +277,6 @@ def test_missing_golden_is_a_divergence(tmp_path):
 def test_every_quick_scenario_has_a_committed_golden():
     committed = set(list_goldens())
     for name in available_scenarios("quick"):
-        spec = get_scenario(name).deployment_spec()
-        try:
-            check_attestable(spec)
-        except AttestationPolicyError:
-            continue
         assert name in committed, f"quick scenario {name} has no golden"
 
 
@@ -305,15 +299,6 @@ def test_golden_files_are_canonical_on_disk():
 # policy exclusions
 # ---------------------------------------------------------------------------
 
-def test_quant8_compute_is_policy_excluded():
-    spec = DeploymentSpec(
-        model="mobilenet_v3_tiny", tasks=(("scale", 8),), input_size=32,
-        compute="quant8", seed=41,
-    )
-    with pytest.raises(AttestationPolicyError, match="calibration"):
-        check_attestable(spec)
-
-
 def test_cache_enabled_spec_is_policy_excluded():
     spec = DeploymentSpec(
         model="mobilenet_v3_tiny", tasks=(("scale", 8),), input_size=32,
@@ -321,26 +306,6 @@ def test_cache_enabled_spec_is_policy_excluded():
     )
     with pytest.raises(AttestationPolicyError, match="cache"):
         check_attestable(spec)
-
-
-def test_attest_scenario_refuses_quant8_scenarios():
-    quant8 = [
-        name for name in available_scenarios("hires")
-        if get_scenario(name).compute == "quant8"
-    ]
-    assert quant8, "quant8 hires scenarios must be registered"
-    with pytest.raises(AttestationPolicyError):
-        attest_scenario(get_scenario(quant8[0]))
-
-
-def test_verify_skips_policy_excluded_scenarios_by_name(tmp_path):
-    quant8 = [
-        name for name in available_scenarios("hires")
-        if get_scenario(name).compute == "quant8"
-    ]
-    result = verify_goldens(names=quant8[:1], golden_dir=tmp_path)
-    assert result.ok
-    assert result.skipped and result.skipped[0][0] == quant8[0]
 
 
 def test_unknown_golden_format_is_rejected():

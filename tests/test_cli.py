@@ -84,13 +84,6 @@ class TestPipeline:
         assert "critical path" in out
         assert "arena preallocated" in out
 
-    def test_no_plan_falls_back_to_fused(self, capsys):
-        assert main(["pipeline", "--backbone", "mobilenet_v3_tiny",
-                     "--batches", "2", "--batch-size", "8", "--epochs", "0",
-                     "--no-plan"]) == 0
-        out = capsys.readouterr().out
-        assert "fused/compiled halves" in out
-
     def test_num_workers_sharded_run(self, capsys):
         assert main(["pipeline", "--backbone", "mobilenet_v3_tiny",
                      "--batches", "2", "--batch-size", "8", "--epochs", "0",
@@ -104,11 +97,11 @@ class TestPipeline:
         assert main(["pipeline", "--bandwidth-mbps", "0"]) == 2
         assert main(["pipeline", "--num-workers", "0"]) == 2
 
-    def test_uncompiled_fallback(self, capsys):
+    def test_wire_flag(self, capsys):
         assert main(["pipeline", "--batches", "2", "--batch-size", "4",
-                     "--epochs", "0", "--no-compiled", "--wire", "float16"]) == 0
+                     "--epochs", "0", "--wire", "float16"]) == 0
         out = capsys.readouterr().out
-        assert "eval-mode halves" in out
+        assert "wire=float16" in out
         assert "batches/s" in out
 
 

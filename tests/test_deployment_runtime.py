@@ -4,8 +4,17 @@ trace accounting, wire-format effects, overlapped streaming execution."""
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.core.architecture import EdgeModel
 from repro.deployment import GIGABIT_ETHERNET, LTE_UPLINK, WireFormat
-from repro.serve import SplitPipeline, ThroughputReport
+from repro.nn.tensor import Tensor
+from repro.serve import (
+    EdgeRuntime,
+    ServerRuntime,
+    SimulatedLink,
+    SplitPipeline,
+    ThroughputReport,
+)
 
 
 @pytest.fixture()
@@ -17,9 +26,6 @@ def pipeline(tiny_trained_net):
 
 class TestEquality:
     def test_pipeline_matches_monolith(self, pipeline, tiny_trained_net, shapes3d_small):
-        from repro import nn
-        from repro.nn.tensor import Tensor
-
         tiny_trained_net.eval()
         images = shapes3d_small.images[:6]
         split_logits = pipeline.infer(images)
@@ -31,9 +37,6 @@ class TestEquality:
             )
 
     def test_intermediate_split_matches(self, tiny_trained_net, shapes3d_small):
-        from repro import nn
-        from repro.nn.tensor import Tensor
-
         tiny_trained_net.eval()
         pipeline = SplitPipeline.from_net(
             tiny_trained_net, GIGABIT_ETHERNET, split_index=3, input_size=32
@@ -46,9 +49,6 @@ class TestEquality:
             np.testing.assert_allclose(split_logits[name], full[name].data, atol=1e-4)
 
     def test_float16_wire_close_but_lossy(self, tiny_trained_net, shapes3d_small):
-        from repro import nn
-        from repro.nn.tensor import Tensor
-
         tiny_trained_net.eval()
         pipeline = SplitPipeline.from_net(
             tiny_trained_net, GIGABIT_ETHERNET, input_size=32,
@@ -62,9 +62,6 @@ class TestEquality:
             np.testing.assert_allclose(split_logits[name], full[name].data, atol=0.05)
 
     def test_predictions_survive_quant8(self, tiny_trained_net, shapes3d_small):
-        from repro import nn
-        from repro.nn.tensor import Tensor
-
         tiny_trained_net.eval()
         pipeline = SplitPipeline.from_net(
             tiny_trained_net, GIGABIT_ETHERNET, input_size=32,
@@ -187,10 +184,40 @@ class TestStreaming:
         assert report.pipelined_seconds == pytest.approx(5.0)
         assert report.overlap_speedup == pytest.approx(9.0 / 5.0)
 
-    def test_compiled_flag_roundtrip(self, tiny_trained_net):
-        compiled = SplitPipeline.from_net(tiny_trained_net, GIGABIT_ETHERNET, input_size=32)
-        eager = SplitPipeline.from_net(
-            tiny_trained_net, GIGABIT_ETHERNET, input_size=32, compiled=False
+
+
+class _BatchMean(nn.Module):
+    """Collapses the batch, so the planner refuses the half it ends."""
+
+    def forward(self, x):
+        return x.mean(axis=0, keepdims=True)
+
+
+class TestUnplannableHalf:
+    def test_still_serves_through_the_session(self, tiny_trained_net, shapes3d_small):
+        # The one fork the runtimes keep: a half the planner refuses runs
+        # through the executor's fused session, picked by the executor.
+        tiny_trained_net.eval()
+        edge_model, server_model = tiny_trained_net.split(None, input_size=32)
+        edge_model = EdgeModel([edge_model.stages, _BatchMean()])
+        pipeline = SplitPipeline(
+            EdgeRuntime(edge_model),
+            SimulatedLink(GIGABIT_ETHERNET),
+            ServerRuntime(server_model, tiny_trained_net.task_names),
         )
-        assert compiled.edge.compiled and compiled.server.compiled
-        assert not eager.edge.compiled and not eager.server.compiled
+        images = shapes3d_small.images[:4]
+        with pipeline:
+            results, report = pipeline.infer_stream([images])
+            with nn.no_grad():
+                reference = server_model(edge_model(Tensor(images)))
+            for name in tiny_trained_net.task_names:
+                np.testing.assert_allclose(
+                    results[0][name], reference[name].data, atol=1e-4
+                )
+            assert pipeline.edge.planned is False and pipeline.server.planned
+            assert report.arena_bytes == pipeline.server.plan_stats.arena_bytes > 0
+            assert pipeline.edge.plan_provenance(images.shape) == (
+                "planned optimize=True\n" + pipeline.edge.session.session.describe()
+            )
+            z_b, _ = pipeline.edge.forward(images)
+            assert pipeline.edge.output_shape(images.shape) == z_b.shape

@@ -7,7 +7,7 @@ move the values the 0/1 gather matrix moved.  These tests pin that on
 raw bytes against per-plane CSR and a naive im2col, with the scratch
 pre-filled with NaN (the binder hands in recycled arena memory), and pin
 the plan plumbing around them: geometry-decided rewriting, the on-demand
-CSR of the reference and quant8 paths, one construction per geometry,
+CSR of the reference path, one construction per geometry,
 and the steady-state invariants across the quick matrix.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import data
 from repro.core import MTLSplitNet
-from repro.nn.engine import ExecutionPlan, PlannedExecutor, kernels, plan_session
+from repro.nn.engine import ExecutionPlan, PlannedExecutor, kernels
 from repro.scenarios import scenario_matrix
 
 
@@ -198,24 +198,6 @@ class TestPlanPlumbing:
             "DepthwiseRows", "im2col_copies", "weight_csr"
         }
         assert len(built) == len(set(built))
-
-    def test_quant8_still_quantizes_depthwise_and_im2col_steps(self, mobilenet_session):
-        session, images = mobilenet_session
-        x = images[:4]
-        float_plan = ExecutionPlan(session, x.shape)
-        assert float_plan.stats.depthwise_rows_ops > 0
-        executor = plan_session(session, compute="quant8")
-        executor.run(x)  # calibration batch (float, bit-exact)
-        (prepared,) = executor._prepared.values()
-        ((_, qplan),) = prepared.parts
-        kinds = [rec["kind"] for rec in qplan._records.values()]
-        assert kinds.count("spmm") == sum(
-            s.kind == "conv_spmm" for s in float_plan.ir.steps
-        )
-        assert kinds.count("gather_gemm") == 1
-        want, got = float_plan.run(images[4:8]), executor.run(images[4:8])
-        for name in want:
-            assert float(np.max(np.abs(got[name] - want[name]))) < 1.4e-3
 
 
 class TestSteadyStateRegression:

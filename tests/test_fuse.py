@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.deployment import GIGABIT_ETHERNET, WireFormat
+from repro.deployment.wire import decode_tensor, encode_tensor
 from repro.serve import SplitPipeline
 from repro.nn import fuse
 from repro.nn.tensor import Tensor
@@ -225,31 +226,22 @@ class TestWholeNetEquivalence:
     def test_compiled_pipeline_matches_uncompiled(
         self, tiny_trained_net, shapes3d_small, wire, split_index
     ):
-        """Compiled and eval-mode pipelines agree for every wire format."""
+        """The served pipeline agrees, for every wire format, with the
+        eval-mode halves joined by the same codec."""
         tiny_trained_net.eval()
         x = shapes3d_small.images[:6]
-        compiled = SplitPipeline.from_net(
+        fmt = WireFormat(wire)
+        pipeline = SplitPipeline.from_net(
             tiny_trained_net, GIGABIT_ETHERNET, split_index=split_index,
-            input_size=32, wire_format=WireFormat(wire), compiled=True,
+            input_size=32, wire_format=fmt,
         )
-        eager = SplitPipeline.from_net(
-            tiny_trained_net, GIGABIT_ETHERNET, split_index=split_index,
-            input_size=32, wire_format=WireFormat(wire), compiled=False,
-        )
-        lhs = compiled.infer(x)
-        rhs = eager.infer(x)
+        edge, server = tiny_trained_net.split(split_index, input_size=32)
+        z_b = decode_tensor(encode_tensor(_eval_forward(edge, x), fmt))
+        reference = _eval_forward(server, z_b)
+        with pipeline:
+            outputs = pipeline.infer(x)
         for name in tiny_trained_net.task_names:
-            np.testing.assert_allclose(lhs[name], rhs[name], atol=1e-4)
-
-    def test_buffer_reuse_stays_correct_across_calls(self, tiny_trained_net, shapes3d_small):
-        tiny_trained_net.eval()
-        edge, _ = tiny_trained_net.split(None, input_size=32)
-        session = edge.compile_for_inference().enable_buffer_reuse()
-        for start in (0, 8, 16):
-            x = shapes3d_small.images[start : start + 8]
-            np.testing.assert_allclose(
-                session.run(x), _eval_forward(edge, x), atol=1e-4
-            )
+            np.testing.assert_allclose(outputs[name], reference[name], atol=1e-4)
 
     def test_describe_reports_folded_ops(self, tiny_trained_net):
         session = tiny_trained_net.compile_for_inference()

@@ -2,6 +2,7 @@
 DeploymentSpec), the curated registry, traffic determinism, compilation
 into DeploymentSpec, the CLI surface, and a slow 224px end-to-end smoke."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -48,7 +49,6 @@ _scenarios = st.builds(
     channel=st.sampled_from(_CHANNEL_NAMES),
     num_workers=st.integers(1, 8),
     optimize=st.booleans(),
-    planned=st.booleans(),
     noise_amount=st.floats(0.0, 1.0, allow_nan=False),
     seed=st.integers(0, 2**31 - 1),
     description=st.text(max_size=40),
@@ -151,6 +151,21 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unknown Scenario keys"):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("removed", ["compiled", "planned", "compute"])
+    def test_removed_execution_knobs_rejected(self, removed):
+        data = get_scenario("vgg_quick_32px").to_dict()
+        data[removed] = True
+        with pytest.raises(ScenarioError, match=rf"unknown Scenario keys \['{removed}'\]"):
+            Scenario.from_dict(data)
+
+    def test_field_names_are_pinned(self):
+        # A new knob is a deliberate edit here (see tests/test_serve_spec.py).
+        assert {f.name for f in dataclasses.fields(Scenario)} == {
+            "name", "backbone", "tasks", "tier", "input_size", "batch_size",
+            "batches", "split_index", "wire", "channel", "num_workers",
+            "optimize", "noise_amount", "arrival", "seed", "description",
+        }
+
     def test_from_json_rejects_non_objects(self):
         with pytest.raises(ScenarioError, match="JSON"):
             Scenario.from_json("[1]")
@@ -193,6 +208,9 @@ class TestRegistry:
         quick = available_scenarios(tier="quick")
         assert quick and all("quick" in name for name in quick)
         assert available_scenarios(tier="hires") != quick
+
+    def test_matrix_is_exactly_family_times_tier(self):
+        assert len(scenario_matrix()) == len(BACKBONE_FAMILIES) * len(TIERS) == 9
 
     def test_listing_sorted_small_to_large(self):
         sizes = [s.input_size for s in scenario_matrix()]

@@ -596,9 +596,9 @@ class TestDeploymentCaching:
 
     def test_provenance_differs_across_optimize_flag(self):
         with deploy(
-            serving_spec(cache="both", planned=True, optimize=True)
+            serving_spec(cache="both", optimize=True)
         ) as a, deploy(
-            serving_spec(cache="both", planned=True, optimize=False)
+            serving_spec(cache="both", optimize=False)
         ) as b:
             assert a.cache.provenance != b.cache.provenance
 

@@ -77,24 +77,6 @@ class TestCapabilityParity:
             assert report.batches_per_second > 0
             assert len(deployment.traces) == 3
 
-    def test_execution_mode_knobs(self, tiny_trained_net, shapes3d_small):
-        images = shapes3d_small.images[:4]
-        plain = deploy(DeploymentSpec(model=tiny_trained_net, planned=False))
-        eager = deploy(
-            DeploymentSpec(model=tiny_trained_net, planned=False, compiled=False)
-        )
-        try:
-            assert not plain.pipeline.edge.planned
-            assert plain.pipeline.edge.compiled
-            assert not eager.pipeline.edge.compiled
-            for name in tiny_trained_net.task_names:
-                np.testing.assert_allclose(
-                    plain.infer(images)[name], eager.infer(images)[name], atol=1e-4
-                )
-        finally:
-            plain.close()
-            eager.close()
-
     def test_auto_split_resolves_to_valid_stage(self):
         spec = DeploymentSpec(
             model="mobilenet_v3_tiny",

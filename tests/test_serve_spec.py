@@ -55,8 +55,6 @@ _specs = st.builds(
     channel=_channels,
     edge_device=_devices,
     server_device=_devices,
-    compiled=st.booleans(),
-    planned=st.booleans(),
     num_workers=st.integers(1, 8),
     max_batch_size=st.integers(1, 32),
     max_queue_delay_ms=st.floats(0.0, 50.0, allow_nan=False),
@@ -162,6 +160,26 @@ class TestValidation:
         data["wired"] = "float32"
         with pytest.raises(SpecError, match="unknown DeploymentSpec keys"):
             DeploymentSpec.from_dict(data)
+
+    @pytest.mark.parametrize("removed", ["compiled", "planned", "compute"])
+    def test_from_dict_rejects_the_removed_execution_knobs(self, removed):
+        # PR 15 removed the knobs that selected an execution path; an old
+        # config that still carries one must fail loudly, naming the key.
+        data = {"model": "mobilenet_v3_tiny", "tasks": [["a", 2]], removed: True}
+        with pytest.raises(SpecError, match=rf"unknown DeploymentSpec keys \['{removed}'\]"):
+            DeploymentSpec.from_dict(data)
+
+    def test_field_names_are_pinned(self):
+        # Every field is a configuration the tests and benches must cover:
+        # adding one is a deliberate edit here, not a drive-by.
+        assert {f.name for f in dataclasses.fields(DeploymentSpec)} == {
+            "model", "tasks", "input_size", "split_index", "wire", "channel",
+            "edge_device", "server_device", "num_workers", "optimize",
+            "max_cached_plans", "max_batch_size", "max_queue_delay_ms",
+            "max_queue_depth", "deadline_ms", "faults", "fallback",
+            "max_retries", "retry_backoff_ms", "probe_every", "cache",
+            "replicas", "seed",
+        }
 
     def test_from_json_rejects_non_objects(self):
         with pytest.raises(SpecError, match="JSON"):
