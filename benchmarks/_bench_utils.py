@@ -25,8 +25,17 @@ def host_record() -> dict:
     import numpy
     import scipy
 
+    from repro.nn.engine import blas_threads, fan_out_width
+
     return {
         "cpu_count": os.cpu_count(),
+        # How the cores were used when this was stamped (after the run:
+        # a deployment pins BLAS to one thread at build, see
+        # docs/architecture.md "How a batch executes"): the widest
+        # in-process OpenBLAS pool, and the threads a hires batch's
+        # per-image plans fan out over on this host.
+        "blas_threads": blas_threads(),
+        "fan_out": fan_out_width(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "python": platform.python_version(),
@@ -95,22 +104,6 @@ def pipeline_stamp(pipeline, batch_shape, split_index=None) -> dict:
     server_text = pipeline.server.plan_provenance(z_shape)
     parts = [f"split:{split_index}", edge_text, server_text]
     return {"spec_digest": "", "plan_digest": provenance_digest(parts)}
-
-
-def session_stamp(session, batch_shape, header: str = "") -> dict:
-    """Plan digest for a bare fused engine session (benches below the
-    serve layer entirely, e.g. the edge worker-scaling sweep).  ``spec_digest``
-    is empty by contract; the plan text is a pure function of the session
-    and the batch shape."""
-    from repro.nn.engine import PlanTemplate, Unplannable
-    from repro.serve.cache.keys import provenance_digest
-
-    try:
-        template = PlanTemplate(session, tuple(batch_shape[1:]))
-        text = template.instantiate(batch_shape[0]).describe()
-    except Unplannable:
-        text = session.describe()
-    return {"spec_digest": "", "plan_digest": provenance_digest([header, text])}
 
 
 def combined_stamp(stamps: dict) -> dict:

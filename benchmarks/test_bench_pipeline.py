@@ -27,13 +27,16 @@ _BATCHES = 8
 _BATCH_SIZE = 16
 
 # The hires scenario point the rows kernel targets: whole backbone on the
-# edge at 224px, batch 2 (the mobilenetv3_hires_224px config).
+# edge at 224px, batch 2 (the mobilenetv3_hires_224px config) — which a
+# deployment executes as two runs of the batch-1 plan (PR 16), so that
+# is the plan measured here.
 _HIRES_PX = 224
 _HIRES_BATCH = 2
 _HIRES_BACKBONE = "mobilenet_v3_tiny"
 # The CI gate on the rows-vs-per-plane-CSR ratio: a ratio measured round
 # by round inside one process, never an absolute latency.  The recorded
-# per-round minimum (1.7-1.8x over 9 rounds on the 2-core host) is its noise
+# per-round minimum (2.6x over 9 rounds on the 2-core host at batch 1;
+# 1.7-1.8x when this still measured the batch-2 plan) is its noise
 # bound; 1.5x leaves room for hosts where csr_matvecs fares better.
 _HIRES_MIN_RATIO = 1.5
 
@@ -113,9 +116,12 @@ def _hires_depthwise_ab(rounds=9, batches=3):
     edge, _ = net.split(n_stages, input_size=_HIRES_PX)
     session = edge.compile_for_inference()
 
-    shape = (_HIRES_BATCH, 3, _HIRES_PX, _HIRES_PX)
+    shape = (1, 3, _HIRES_PX, _HIRES_PX)  # the per-image plan every lane binds
     rng = np.random.default_rng(17)
-    xs = [rng.standard_normal(shape).astype(np.float32) for _ in range(batches)]
+    xs = [
+        rng.standard_normal(shape).astype(np.float32)
+        for _ in range(batches * _HIRES_BATCH)
+    ]
 
     plan = ExecutionPlan(session, shape)
     baseline = ExecutionPlan(session, shape, disabled_passes=("block_depthwise",))
@@ -199,8 +205,7 @@ def test_pipeline_end_to_end(benchmark, results_dir):
     text = (
         f"{_BATCHES} batches x {_BATCH_SIZE} images, mobilenet_v3_tiny @32px, "
         f"{GIGABIT_ETHERNET.name}, planned engine "
-        f"({report.num_workers} worker(s), "
-        f"{report.arena_bytes / 1024:.0f} KiB arena, "
+        f"({report.arena_bytes / 1024:.0f} KiB arena, "
         f"{report.steady_state_allocs} allocs/batch, "
         f"{report.fused_steps} fused epilogues, "
         f"{report.elided_copies} elided copies, "
@@ -240,7 +245,6 @@ def test_pipeline_end_to_end(benchmark, results_dir):
             "images_per_second": report.images_per_second,
             "critical_stage": report.critical_stage,
             "payload_bytes_per_batch": pipeline.mean_payload_bytes(),
-            "num_workers": report.num_workers,
             "arena_bytes": report.arena_bytes,
             "steady_state_allocs": report.steady_state_allocs,
             "fused_steps": report.fused_steps,

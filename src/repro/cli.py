@@ -159,9 +159,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if args.bandwidth_mbps <= 0:
         print("pipeline needs --bandwidth-mbps > 0", file=sys.stderr)
         return 2
-    if args.num_workers < 1:
-        print("pipeline needs --num-workers >= 1", file=sys.stderr)
-        return 2
     channel = (
         GIGABIT_ETHERNET.degraded(1000.0 / args.bandwidth_mbps)
         if args.bandwidth_mbps != 1000
@@ -185,7 +182,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         split_index=args.split_index,
         wire=args.wire,
         channel=channel,
-        num_workers=args.num_workers,
     )
     images = dataset.images[:samples]
     batches = [
@@ -196,7 +192,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         deployment.warmup([args.batch_size])
         _, report = deployment.stream(batches)
         print(
-            f"{args.backbone} @32px, {deployment.execution_mode} halves, "
+            f"{args.backbone} @32px, planned engine halves, "
             f"wire={args.wire}, {channel.name}, payload "
             f"{deployment.pipeline.mean_payload_bytes() / 1024:.1f} KiB/batch"
         )
@@ -207,7 +203,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from . import data
     from .core import MTLSplitNet
-    from .nn.engine import ExecutionPlan
+    from .nn.engine import ExecutionPlan, PlanTemplate, fan_out_width, pin_blas_threads
 
     if args.plan_command != "describe":  # pragma: no cover - argparse enforces
         print(f"unknown plan subcommand {args.plan_command!r}", file=sys.stderr)
@@ -222,24 +218,33 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     )
     net.eval()
     edge_model, server_model = net.split(args.split_index, input_size=args.input_size)
-    edge_session = edge_model.compile_for_inference()
     batch_shape = (
         args.batch_size, net.backbone.spec.input_channels,
         args.input_size, args.input_size,
     )
     optimize = not args.no_optimize
-    edge_plan = ExecutionPlan(edge_session, batch_shape, optimize=optimize)
-    edge_ir = edge_plan.ir
-    z_shape = edge_ir.values[edge_ir.outputs[None]].row_shape
-    server_plan = ExecutionPlan(
-        server_model.compile_for_inference(), z_shape, optimize=optimize
-    )
+    pin_blas_threads()  # what a deployment does before it sizes its fan-out
+    width = fan_out_width()
+
+    def describe_half(model, shape):
+        """Print the plan a deployment binds for ``shape``; returns its IR."""
+        session = model.compile_for_inference()
+        template = PlanTemplate(session, shape[1:], optimize=optimize)
+        bound = (1,) + shape[1:] if template.per_image else shape
+        plan = ExecutionPlan(session, bound, template=template)
+        if template.per_image:
+            print(f"executes as {shape[0]} x batch-1 plan on "
+                  f"{min(shape[0], width)} thread(s)")
+        print(plan.describe())
+        return plan.ir
+
     print(f"# edge half ({args.backbone} @{args.input_size}px, "
           f"batch {args.batch_size})")
-    print(edge_plan.describe())
+    edge_ir = describe_half(edge_model, batch_shape)
+    z_row = edge_ir.values[edge_ir.outputs[None]].row_shape
     print()
     print("# server half")
-    print(server_plan.describe())
+    describe_half(server_model, (args.batch_size,) + z_row[1:])
     return 0
 
 
@@ -477,7 +482,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             split_index=split_index,
             wire=args.wire,
             channel=channel,
-            num_workers=args.num_workers,
             max_batch_size=args.max_batch_size,
             max_queue_delay_ms=args.max_delay_ms,
             max_queue_depth=args.queue_depth,
@@ -606,8 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth-mbps", type=float, default=1000)
     p.add_argument("--epochs", type=int, default=1,
                    help="quick training epochs before deployment (0 = raw init)")
-    p.add_argument("--num-workers", type=int, default=1,
-                   help="batch shards run by the planned engine's thread pool")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pipeline)
 
@@ -699,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wire", default="float32",
                    choices=("float32", "float16", "quant8"))
     p.add_argument("--bandwidth-mbps", type=float, default=1000)
-    p.add_argument("--num-workers", type=int, default=1)
     p.add_argument("--max-batch-size", type=int, default=8,
                    help="dispatcher micro-batch cap")
     p.add_argument("--max-delay-ms", type=float, default=2.0,

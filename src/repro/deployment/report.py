@@ -104,8 +104,7 @@ def render_throughput(report: ThroughputReport) -> str:
     if report.arena_bytes:
         lines.append(
             f"  engine: {report.arena_bytes / 1024:.0f} KiB arena preallocated, "
-            f"{report.steady_state_allocs} allocs/batch steady-state, "
-            f"{report.num_workers} worker(s)"
+            f"{report.steady_state_allocs} allocs/batch steady-state"
         )
         lines.append(
             f"  optimizer: {report.fused_steps} fused epilogue step(s), "

@@ -36,14 +36,19 @@ optimizes what is left.  Compilation is a three-phase pipeline:
    e.g. fallback ops).
 
 :class:`PlannedExecutor` wraps plans behind the ``InferenceSession.run``
-API, caches plans per observed batch shape in a bounded LRU, and — with
-``num_workers > 1`` — shards the batch across a persistent thread pool.
+API and caches plans per observed batch shape in a bounded LRU.  How a
+batch executes is a geometry rule on the template
+(:func:`~repro.nn.engine.passes.runs_per_image`): one batch-last plan, or
+— where a single image already overflows the L2 budget — per-image runs
+of the batch-1 plan fanned out over the cores
+(:mod:`~repro.nn.engine.threads`: BLAS pinned to one thread, one engine
+thread per core).
 
 Optimized plans match the unoptimized plan bit for bit and the fused
 session (the lowering front-end, kept as the test reference and as the
 fallback for programs the planner refuses) within 1e-6 — the property
 the engine tests assert across backbones, split indices, batch sizes and
-worker counts.
+fan-out widths.
 """
 
 from .executor import (
@@ -55,6 +60,7 @@ from .executor import (
 )
 from .ir import PlanIR, Step, Unplannable, estimate_step_cost, lower_session
 from .passes import L2_BUDGET_BYTES, run_passes
+from .threads import blas_threads, fan_out_width, pin_blas_threads
 
 __all__ = [
     "BufferArena",
@@ -69,4 +75,7 @@ __all__ = [
     "run_passes",
     "L2_BUDGET_BYTES",
     "estimate_step_cost",
+    "blas_threads",
+    "fan_out_width",
+    "pin_blas_threads",
 ]

@@ -5,8 +5,9 @@ value to a view over a :class:`BufferArena` block using liveness computed
 on the *rewritten* program, and compiles each step into a closure over
 those views.  A :class:`PlanTemplate` holds the batch-independent part
 (trace, lowering, shared passes); :class:`ExecutionPlan` binds a copy of
-it per batch shape; :class:`PlannedExecutor` caches both (bounded LRU) and
-shards batches across a persistent :class:`_WorkerPool`.
+it per batch shape; :class:`PlannedExecutor` caches both (bounded LRU) and,
+where the template's geometry rule says so, runs a batch as per-image
+batch-1 plans fanned out over a persistent :class:`_WorkerPool`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import queue
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -32,7 +34,12 @@ from .ir import (
     lower_template,
 )
 from .kernels import apply_act, mean_weights, spmm_blocks
-from .passes import L2_BUDGET_BYTES, run_batch_passes, run_shared_passes
+from .passes import (
+    L2_BUDGET_BYTES,
+    run_batch_passes,
+    run_shared_passes,
+    runs_per_image,
+)
 
 __all__ = [
     "BufferArena",
@@ -109,7 +116,6 @@ class PlanStats:
     gemm_ops: int = 0
     fallback_ops: int = 0
     num_plans: int = 0
-    num_workers: int = 1
     # -- optimizer accounting ------------------------------------------
     fused_steps: int = 0  # bias/act/affine/residual steps absorbed into epilogues
     elided_copies: int = 0  # activations rewritten to run in place (no copy)
@@ -129,13 +135,11 @@ class PlanStats:
         return 1.0 - self.arena_bytes / self.requested_bytes
 
     def merged(self, other: "PlanStats") -> "PlanStats":
-        """Field-driven sum (``num_workers``: max) — a new counter is one line."""
-        values = {
+        """Field-driven sum — a new counter is one line."""
+        return PlanStats(**{
             spec.name: getattr(self, spec.name) + getattr(other, spec.name)
             for spec in dataclasses.fields(self)
-        }
-        values["num_workers"] = max(self.num_workers, other.num_workers)
-        return PlanStats(**values)
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +161,25 @@ def _col_shape(row_shape: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Worker pool (persistent daemon threads; shard tasks release the GIL in
-# BLAS / sparse kernels, so shards overlap on multi-core hosts)
+# Worker pool (persistent daemon threads, spawned on first use).  Thread k
+# always runs thunk k, so a fan-out lane's plan and arena stay with one
+# thread, and the caller only waits: when it ran a lane itself, Linux
+# kept stacking the worker it had just woken onto its own core (224px,
+# two lanes: 14 ms for seconds on end, 8.5 ms once the balancer moved
+# one).  Lanes overlap only as far as their kernels release the GIL:
+# np.matmul(out=), csr_matvecs and the strided copies do (1.8-1.96x on
+# two cores), scipy's f2py sgemm wrapper does not — which is why
+# per-image plans never bind kernels.beta_gemm.
 # ---------------------------------------------------------------------------
 class _WorkerPool:
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._threads = [
-            threading.Thread(
-                target=self._loop, name=f"repro-engine-{index}", daemon=True
-            )
-            for index in range(workers - 1)
-        ]
-        for thread in self._threads:
-            thread.start()
+    def __init__(self):
+        self._lock = threading.Lock()  # enqueueing vs. close()
+        self._workers: List[Tuple[threading.Thread, "queue.SimpleQueue"]] = []
 
-    def _loop(self) -> None:
+    @staticmethod
+    def _loop(tasks: "queue.SimpleQueue") -> None:
         while True:
-            task = self._tasks.get()
+            task = tasks.get()
             if task is None:  # shutdown sentinel from close()
                 return
             fn, done, errors = task
@@ -187,30 +191,35 @@ class _WorkerPool:
                 done.release()
 
     def run_all(self, thunks: Sequence[Callable[[], None]]) -> None:
-        """Run ``thunks`` concurrently; the caller executes the first itself."""
-        if len(thunks) == 1:
-            thunks[0]()
-            return
+        """Run ``thunks`` concurrently, one per thread, and wait for all."""
         done = threading.Semaphore(0)
         errors: List[BaseException] = []
-        for fn in thunks[1:]:
-            self._tasks.put((fn, done, errors))
-        try:
-            thunks[0]()  # the calling thread is worker zero
-        except BaseException as error:
-            errors.append(error)
-        for _ in thunks[1:]:
+        with self._lock:
+            while len(self._workers) < len(thunks):
+                tasks: "queue.SimpleQueue" = queue.SimpleQueue()
+                thread = threading.Thread(
+                    target=self._loop, args=(tasks,), daemon=True,
+                    name=f"repro-engine-{len(self._workers)}",
+                )
+                thread.start()
+                self._workers.append((thread, tasks))
+            for fn, (_, tasks) in zip(thunks, self._workers):
+                tasks.put((fn, done, errors))
+        for _ in thunks:
             done.acquire()
         if errors:
             raise errors[0]
 
     def close(self) -> None:
-        """Stop the worker threads (idempotent; pending tasks drain first)."""
-        for _ in self._threads:
-            self._tasks.put(None)
-        for thread in self._threads:
-            thread.join(timeout=1.0)
-        self._threads = []
+        """Stop the worker threads and wait for them: a thread still
+        inside a step finishes it first, so none outlives ``close()``.
+        Idempotent; a later ``run_all`` starts fresh threads."""
+        with self._lock:
+            workers, self._workers = self._workers, []
+            for _, tasks in workers:
+                tasks.put(None)
+        for thread, _ in workers:
+            thread.join()
 
 
 # ---------------------------------------------------------------------------
@@ -756,31 +765,46 @@ class PlanTemplate:
     """What no batch size changes about a session's plans at one input
     geometry: one shape trace, one lowering and the shared passes, whose
     counters live on ``stats`` and whose repacked weights every plan
-    shares.  :meth:`instantiate` never writes to ``ir``.
+    shares — and how a batch executes there: ``per_image`` is
+    :func:`~repro.nn.engine.passes.runs_per_image` on the lowered
+    program, decided before the passes because per-image plans select
+    GIL-releasing GEMMs.  :meth:`instantiate` never writes to ``ir``.
     """
 
     def __init__(
         self, session: InferenceSession, image_shape: Tuple[int, ...],
         optimize: bool = True, disabled_passes: Tuple[str, ...] = (),
+        l2_bytes: int = L2_BUDGET_BYTES,
     ):
         self.optimize = bool(optimize)
         self.disabled = tuple(disabled_passes)
+        self.l2_bytes = int(l2_bytes)
         self.stats = PlanStats()
         self.ir = lower_template(session, image_shape)
+        self.ir.per_image = runs_per_image(self.ir, self.l2_bytes)
         if self.optimize:
             run_shared_passes(self.ir, self.stats, self.disabled)
+        #: The executor's bound batch-1 plans, one per fan-out thread
+        #: (kept here so they live and die with the geometry's template).
+        self.lanes: List["ExecutionPlan"] = []
+
+    @property
+    def per_image(self) -> bool:
+        return self.ir.per_image
 
     def instantiate(
         self, batch: int, stats: Optional[PlanStats] = None,
-        l2_bytes: int = L2_BUDGET_BYTES,
+        l2_bytes: Optional[int] = None,
     ) -> PlanIR:
         """The optimized IR at ``batch``, ready to bind — a pure function
-        of the template, ``batch`` and ``l2_bytes``, so the text
-        provenance digests hash is the text of the plan that runs."""
+        of the template, ``batch`` and ``l2_bytes`` (default: the
+        template's), so the text provenance digests hash is the text of
+        the plan that runs."""
         ir = self.ir.rebatch(batch)
         if self.optimize:
             run_batch_passes(
-                ir, PlanStats() if stats is None else stats, l2_bytes=l2_bytes,
+                ir, PlanStats() if stats is None else stats,
+                l2_bytes=self.l2_bytes if l2_bytes is None else l2_bytes,
                 disabled=self.disabled,
             )
         return ir
@@ -805,7 +829,7 @@ class ExecutionPlan:
         session: InferenceSession,
         batch_shape: Tuple[int, ...],
         optimize: bool = True,
-        l2_bytes: int = L2_BUDGET_BYTES,
+        l2_bytes: Optional[int] = None,
         disabled_passes: Tuple[str, ...] = (),
         template: Optional[PlanTemplate] = None,
     ):
@@ -813,7 +837,8 @@ class ExecutionPlan:
         self.batch_shape = tuple(int(s) for s in batch_shape)
         if template is None:
             template = PlanTemplate(
-                session, self.batch_shape[1:], optimize, disabled_passes
+                session, self.batch_shape[1:], optimize, disabled_passes,
+                L2_BUDGET_BYTES if l2_bytes is None else l2_bytes,
             )
         self.optimized = template.optimize
         self.arena = BufferArena()
@@ -840,7 +865,7 @@ class ExecutionPlan:
         self.stats.requested_bytes = self.arena.requested_bytes
         # Row-shaped views of the column outputs (the final transpose reads
         # through these); the row-major result buffers are created lazily —
-        # shard plans inside an executor only ever run with ``out=``.
+        # fan-out lanes inside an executor mostly run with ``out=``.
         self._results: Optional[Dict[Optional[str], np.ndarray]] = None
         self._out_views = {
             name: np.moveaxis(val.array, -1, 0)
@@ -923,27 +948,37 @@ class ExecutionPlan:
 # PlannedExecutor
 # ---------------------------------------------------------------------------
 class _PreparedBatch:
-    __slots__ = ("parts", "outputs")
+    __slots__ = ("parts", "lanes", "outputs")
 
-    def __init__(self, parts, outputs):
-        self.parts = parts  # list of (slice, ExecutionPlan)
+    def __init__(self, parts, width, outputs):
+        self.parts = parts  # list of (slice, ExecutionPlan), in row order
+        # What each thread runs: part i belongs to lane i % width.
+        self.lanes = [parts[lane::width] for lane in range(width)]
         self.outputs = outputs  # None | ndarray | dict name -> ndarray
 
 
 class PlannedExecutor:
-    """Batch-sharded, plan-cached executor with the ``InferenceSession`` API.
+    """Plan-cached executor with the ``InferenceSession`` API.
 
-    One :class:`ExecutionPlan` (with its own arena) is built lazily per
-    worker shard for each observed batch shape and reused afterwards, so
-    steady-state traffic with stable batch sizes runs allocation-free.
-    The per-shape cache is a bounded LRU (``max_plans``): a long-running
-    deployment serving many input shapes evicts its least-recently-used
-    plans instead of growing arena memory without limit.  Plans of one
-    input geometry rebind its :class:`PlanTemplate` (same bound, shared
-    by all worker shards) instead of tracing and lowering again.
+    One :class:`ExecutionPlan` (with its own arena) is built lazily for
+    each observed batch shape and reused afterwards, so steady-state
+    traffic with stable batch sizes runs allocation-free.  The per-shape
+    cache is a bounded LRU (``max_plans``): a long-running deployment
+    serving many input shapes evicts its least-recently-used plans
+    instead of growing arena memory without limit.  Plans of one input
+    geometry rebind its :class:`PlanTemplate` (same bound) instead of
+    tracing and lowering again.
 
-    With ``num_workers > 1`` the batch is split along dim 0 and the
-    shards execute concurrently on a persistent thread pool.
+    How a batch of ``N`` executes is the template's geometry rule
+    (``PlanTemplate.per_image``), never a setting: below it, one
+    batch-last plan; in the hires regime, ``N`` runs of the batch-1 plan
+    — image ``i`` on lane ``i % width``, each lane a bound plan owned by
+    one persistent thread, ``width = min(N, fan_out)``.  An image's
+    result then depends on neither its batch nor the host's core count:
+    ``fan_out`` only chooses how many threads run the same plans.  It is
+    an internal argument (:func:`~repro.nn.engine.threads.fan_out_width`
+    in a deployment, which pins BLAS first; 1 for a bare executor), as
+    is ``l2_bytes``, the budget behind the rule and the blocking passes.
 
     Outputs are executor-owned buffers overwritten by the next ``run``;
     pass ``copy_outputs=True`` to hand back private copies instead (the
@@ -953,24 +988,26 @@ class PlannedExecutor:
     def __init__(
         self,
         session: InferenceSession,
-        num_workers: int = 1,
         copy_outputs: bool = False,
         max_plans: int = 8,
         optimize: bool = True,
+        fan_out: int = 1,
+        l2_bytes: int = L2_BUDGET_BYTES,
     ):
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        if fan_out < 1:
+            raise ValueError(f"fan_out must be >= 1, got {fan_out}")
         if max_plans < 1:
             raise ValueError(f"max_plans must be >= 1, got {max_plans}")
         self.session = session
-        self.num_workers = int(num_workers)
         self.copy_outputs = copy_outputs
         self.max_plans = int(max_plans)
         self.optimize = bool(optimize)
+        self.fan_out = int(fan_out)
+        self.l2_bytes = int(l2_bytes)
         self._prepared: "OrderedDict[Tuple[int, ...], _PreparedBatch]" = OrderedDict()
         self._templates: "OrderedDict[Tuple[int, ...], PlanTemplate]" = OrderedDict()
         self._template_lock = threading.Lock()
-        self._pool = _WorkerPool(self.num_workers) if self.num_workers > 1 else None
+        self._pool = _WorkerPool()
         self._unplannable = False
 
     # -- plan management ------------------------------------------------
@@ -980,7 +1017,9 @@ class PlannedExecutor:
         with self._template_lock:
             template = self._templates.get(image_shape)
             if template is None:
-                template = PlanTemplate(self.session, image_shape, self.optimize)
+                template = PlanTemplate(
+                    self.session, image_shape, self.optimize, l2_bytes=self.l2_bytes
+                )
                 if len(self._templates) >= self.max_plans:
                     self._templates.popitem(last=False)
                 self._templates[image_shape] = template
@@ -989,10 +1028,11 @@ class PlannedExecutor:
             return template
 
     def plan_ir(self, batch_shape: Tuple[int, ...]) -> PlanIR:
-        """The IR an unsharded plan for ``batch_shape`` binds — pure IR
-        work, no arena.  Raises ``Unplannable``."""
+        """The IR every image of a ``batch_shape`` batch runs through —
+        the batch-1 program in the per-image regime — as pure IR work, no
+        arena.  Raises ``Unplannable``."""
         template = self._template(tuple(int(s) for s in batch_shape[1:]))
-        return template.instantiate(batch_shape[0])
+        return template.instantiate(1 if template.per_image else batch_shape[0])
 
     def _prepare(self, shape: Tuple[int, ...]) -> _PreparedBatch:
         prepared = self._prepared.get(shape)
@@ -1001,22 +1041,19 @@ class PlannedExecutor:
             return prepared
         n = shape[0]
         template = self._template(tuple(shape[1:]))
-        workers = max(1, min(self.num_workers, n))
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        parts = []
-        for index in range(workers):
-            lo, hi = int(bounds[index]), int(bounds[index + 1])
-            if hi > lo:
-                shard_shape = (hi - lo,) + tuple(shape[1:])
-                parts.append(
-                    (
-                        slice(lo, hi),
-                        ExecutionPlan(self.session, shard_shape, template=template),
-                    )
+        width = 1
+        if template.per_image:
+            width, lanes = min(n, self.fan_out), template.lanes
+            while len(lanes) < width:
+                lanes.append(
+                    ExecutionPlan(self.session, (1,) + shape[1:], template=template)
                 )
+            parts = [(slice(i, i + 1), lanes[i % width]) for i in range(n)]
+        else:
+            parts = [(slice(0, n), ExecutionPlan(self.session, shape, template=template))]
         sample = parts[0][1]
         if len(parts) == 1:
-            outputs = None  # single shard returns its own result buffers
+            outputs = None  # a single plan returns its own result buffers
         elif None in sample._outputs:
             outputs = np.empty(
                 (n,) + sample._outputs[None].row_shape[1:], dtype=np.float32
@@ -1026,13 +1063,22 @@ class PlannedExecutor:
                 name: np.empty((n,) + val.row_shape[1:], dtype=np.float32)
                 for name, val in sample._outputs.items()
             }
-        prepared = _PreparedBatch(parts, outputs)
+        prepared = _PreparedBatch(parts, width, outputs)
         if len(self._prepared) >= self.max_plans:
             self._prepared.popitem(last=False)  # evict least recently used
         self._prepared[shape] = prepared
         return prepared
 
     # -- execution ------------------------------------------------------
+    @staticmethod
+    def _run_lane(lane, x: np.ndarray, outputs) -> None:
+        for rows, plan in lane:
+            if isinstance(outputs, dict):
+                out = {name: arr[rows] for name, arr in outputs.items()}
+            else:
+                out = outputs[rows]
+            plan.run(x[rows], out=out)
+
     def run(self, x: np.ndarray):
         # No ascontiguousarray here: it silently re-copied every strided
         # input batch in steady state (an allocation the counter never
@@ -1046,20 +1092,16 @@ class PlannedExecutor:
         except Unplannable:
             self._unplannable = True
             return self.session.run(x)
-        if len(prepared.parts) == 1:
+        result = prepared.outputs
+        if result is None:
             result = prepared.parts[0][1].run(x)
+        elif len(prepared.lanes) == 1:
+            self._run_lane(prepared.lanes[0], x, result)
         else:
-            if self._pool is None:  # closed earlier: rebuild on demand
-                self._pool = _WorkerPool(self.num_workers)
-            thunks = []
-            for sl, plan in prepared.parts:
-                if isinstance(prepared.outputs, dict):
-                    shard_out = {name: arr[sl] for name, arr in prepared.outputs.items()}
-                else:
-                    shard_out = prepared.outputs[sl]
-                thunks.append(lambda p=plan, xs=x[sl], o=shard_out: p.run(xs, out=o))
-            self._pool.run_all(thunks)
-            result = prepared.outputs
+            self._pool.run_all([
+                lambda lane=lane: self._run_lane(lane, x, result)
+                for lane in prepared.lanes
+            ])
         if self.copy_outputs:
             if isinstance(result, dict):
                 return {name: arr.copy() for name, arr in result.items()}
@@ -1069,11 +1111,9 @@ class PlannedExecutor:
     __call__ = run
 
     def close(self) -> None:
-        """Release the worker threads.  Idempotent; single-worker runs keep
-        working afterwards, sharded runs rebuild the pool on next use."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Stop the fan-out threads and wait for them.  Idempotent; the
+        executor keeps working afterwards (a fan-out run starts new ones)."""
+        self._pool.close()
 
     def __enter__(self) -> "PlannedExecutor":
         return self
@@ -1082,10 +1122,10 @@ class PlannedExecutor:
         self.close()
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown timing
-        try:
-            self.close()
-        except Exception:
-            pass
+        # Not at shutdown: daemon threads are frozen then and never join.
+        pool = self.__dict__.get("_pool")
+        if pool is not None and not sys.is_finalizing():
+            pool.close()
 
     # -- introspection --------------------------------------------------
     @property
@@ -1094,11 +1134,14 @@ class PlannedExecutor:
 
     @property
     def stats(self) -> PlanStats:
-        total = PlanStats(num_workers=self.num_workers)
-        for prepared in self._prepared.values():
-            for _, plan in prepared.parts:
-                total = total.merged(plan.stats)
-        total.num_workers = self.num_workers
+        plans = {
+            id(plan): plan
+            for prepared in self._prepared.values()
+            for _, plan in prepared.parts
+        }
+        total = PlanStats()
+        for plan in plans.values():
+            total = total.merged(plan.stats)
         return total
 
     @property
@@ -1107,14 +1150,13 @@ class PlannedExecutor:
 
     def describe(self) -> str:
         header = (
-            f"PlannedExecutor(workers={self.num_workers}, "
-            f"plans={sum(len(p.parts) for p in self._prepared.values())}, "
-            f"optimize={self.optimize})"
+            f"PlannedExecutor(fan_out={self.fan_out}, "
+            f"plans={self.stats.num_plans}, optimize={self.optimize})"
         )
         return "\n".join([header, self.session.describe()])
 
     def __repr__(self) -> str:
         return (
-            f"PlannedExecutor(workers={self.num_workers}, "
+            f"PlannedExecutor(fan_out={self.fan_out}, "
             f"shapes={list(self._prepared)}, session={self.session!r})"
         )

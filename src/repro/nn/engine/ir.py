@@ -209,6 +209,9 @@ class PlanIR:
         self.steps: List[Step] = []
         self.input: int = -1
         self.outputs: Dict[Optional[str], int] = {}
+        #: The geometry is in the hires regime (``passes.runs_per_image``):
+        #: a batch executes as per-image runs of the batch-1 program.
+        self.per_image = False
 
     # -- values --------------------------------------------------------
     def new_value(self, row_shape, alias_of: Optional[int] = None) -> int:
@@ -255,6 +258,7 @@ class PlanIR:
         ]
         ir.input = self.input
         ir.outputs = dict(self.outputs)
+        ir.per_image = self.per_image
         return ir
 
     # -- introspection -------------------------------------------------
@@ -269,7 +273,10 @@ class PlanIR:
         Nothing in a plan is measured, so two processes lowering the
         same session must produce identical bytes.
         """
-        lines = [f"plan-ir batch={list(self.batch_shape)}"]
+        lines = [
+            f"plan-ir batch={list(self.batch_shape)}"
+            + (" per-image" if self.per_image else "")
+        ]
         outs = " ".join(
             f"{name if name is not None else '_'}=v{vid}"
             for name, vid in sorted(

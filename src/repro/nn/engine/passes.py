@@ -16,9 +16,10 @@ pipeline (:func:`run_passes`) is:
    which is bit-identical to the standalone step;
 3. :func:`select_kernels` — flips kernel implementations to the forms
    measured faster on the benchmark hosts: axis means as GEMMs, GEMM
-   biases folded into ``sgemm(beta=1)`` accumulators (bit-exact), and
-   SpMM outputs pre-filled with the bias so the separate bias pass
-   vanishes into the accumulate;
+   biases folded into ``sgemm(beta=1)`` accumulators (bit-exact; not in
+   per-image plans, whose GEMMs must release the GIL), and SpMM outputs
+   pre-filled with the bias so the separate bias pass vanishes into the
+   accumulate;
 4. :func:`block_spmm` — partitions the per-plane CSR of grouped and
    depthwise convolutions into row blocks sized to the L2 budget
    (aligned to output planes) so each ``csr_matvecs`` call streams a
@@ -33,7 +34,9 @@ bind- or run-time ``ascontiguousarray`` copies, and
 :func:`block_depthwise` moves depthwise SpMMs onto the row-vector kernel
 (:class:`kernels.DepthwiseRows`, bit-identical to per-plane CSR) where
 the step's geometry and batch say it wins — a pure function of the plan,
-nothing is timed.
+nothing is timed.  Before any of them, :func:`runs_per_image` reads off
+the lowered program whether the geometry is in the *hires regime*, where
+a batch executes as per-image runs of the batch-1 plan.
 
 Passes mutate the IR in place, record what they did on the stats
 object (``fused_steps``, ``elided_copies``, ``folded_affines``,
@@ -55,6 +58,7 @@ __all__ = [
     "L2_BUDGET_BYTES",
     "DW_ROWS_MIN_PLANE",
     "DW_ROWS_MAX_BATCH_STRIDE",
+    "runs_per_image",
     "run_passes",
     "run_shared_passes",
     "run_batch_passes",
@@ -87,6 +91,30 @@ DW_ROWS_MIN_PLANE = 64
 #: planes above 64 pixels the rows kernel measures 1.1-7.1x below the
 #: line and 0.5-1.4x at and above it.
 DW_ROWS_MAX_BATCH_STRIDE = 16
+
+
+def runs_per_image(ir: PlanIR, l2_bytes: int = L2_BUDGET_BYTES) -> bool:
+    """The hires regime: some step's working set for *one* image — the
+    values it reads plus the one it writes — exceeds the L2 budget.
+
+    There the batch-last ``(C, H, W, N)`` layout stops paying: no step
+    is small enough for a batch to amortise its call overhead, while the
+    ``N``-strided copies and reductions get slower than ``N`` contiguous
+    ones (224px, batch 2: 13.9 ms against 2 x 6.9 ms at batch 1).  So a
+    batch there executes as per-image runs of the batch-1 plan, which
+    the executor can also spread over the cores.  Like
+    :func:`block_depthwise`'s rule this reads the geometry alone; the
+    crossover sweep behind it is in docs/benchmarking.md ("PR 16").
+    """
+
+    def image_bytes(vid: int) -> int:
+        return 4 * int(np.prod(ir.values[vid].row_shape[1:], dtype=np.int64))
+
+    return any(
+        sum(map(image_bytes, step.reads())) + image_bytes(step.output) > l2_bytes
+        for step in ir.steps
+        if step.kind != "view"
+    )
 
 
 def _mark(step, name: str) -> None:
@@ -220,12 +248,16 @@ def select_kernels(ir: PlanIR, stats) -> None:
         if (
             step.kind in ("conv_gemm", "gemm", "conv_gather_gemm")
             and kernels.HAVE_BLAS
+            and not ir.per_image
             and step.epilogue
             and step.epilogue[0][0] == "bias"
         ):
             # Pre-fill the output with the bias and run sgemm(beta=1):
             # the bias add happens inside the GEMM accumulator —
             # bit-identical to matmul + add, minus a whole-tensor pass.
+            # Not for per-image plans: scipy's sgemm wrapper holds the
+            # GIL (two threads on a (64,16)@(16,6272) GEMM: 0.97x), and
+            # those plans run side by side; matmul(out=) releases it.
             step.attrs["beta_gemm"] = True
             _mark(step, "select_kernels")
         if (

@@ -142,7 +142,7 @@ class Module:
         sample_input=None,
         atol: float = 1e-4,
         plan: bool = False,
-        num_workers: int = 1,
+        fan_out: int = 1,
         copy_outputs: bool = False,
         max_plans: int = 8,
         optimize: bool = True,
@@ -157,29 +157,30 @@ class Module:
         further training.  When ``sample_input`` is given, the compiled
         outputs are verified against the eval forward within ``atol``.
 
-        With ``plan=True`` (or ``num_workers > 1``) the session is
-        wrapped in a :class:`~repro.nn.engine.PlannedExecutor`: an
-        optimizer-rewritten execution plan per batch shape (epilogue
-        fusion, copy elision, kernel selection, blocked SpMM — disable
-        with ``optimize=False``) with an arena of preallocated buffers
-        (zero steady-state allocations) that shards the batch across
-        ``num_workers`` worker threads.  The per-shape plan cache is a
-        bounded LRU of ``max_plans`` entries.  Planned outputs are
-        executor-owned and overwritten by the next call unless
-        ``copy_outputs=True``.
+        With ``plan=True`` the session is wrapped in a
+        :class:`~repro.nn.engine.PlannedExecutor`: an optimizer-rewritten
+        execution plan per batch shape (epilogue fusion, copy elision,
+        kernel selection, blocked SpMM — disable with ``optimize=False``)
+        with an arena of preallocated buffers (zero steady-state
+        allocations).  Hires geometries run a batch as per-image plans
+        on up to ``fan_out`` threads (an internal width: deployments pass
+        :func:`~repro.nn.engine.fan_out_width` after pinning BLAS).  The
+        per-shape plan cache is a bounded LRU of ``max_plans`` entries.
+        Planned outputs are executor-owned and overwritten by the next
+        call unless ``copy_outputs=True``.
         """
         from .fuse import compile_module, verify_session
 
         session = compile_module(self)
-        if plan or num_workers > 1:
+        if plan:
             from .engine import PlannedExecutor
 
             session = PlannedExecutor(
                 session,
-                num_workers=num_workers,
                 copy_outputs=copy_outputs,
                 max_plans=max_plans,
                 optimize=optimize,
+                fan_out=fan_out,
             )
         if sample_input is not None:
             verify_session(self, session, sample_input, atol=atol)

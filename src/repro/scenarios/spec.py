@@ -90,8 +90,8 @@ class Scenario:
     channel:
         A channel *preset name* (scenarios are named curated workloads;
         custom channel objects belong in a ``DeploymentSpec``).
-    num_workers / optimize:
-        Engine knobs forwarded to the deployment.
+    optimize:
+        Engine knob forwarded to the deployment.
     noise_amount:
         Salt-and-pepper corruption applied to the synthetic traffic.
     arrival:
@@ -115,7 +115,6 @@ class Scenario:
     split_index: Union[int, str, None] = None
     wire: str = "float32"
     channel: str = "gigabit_ethernet"
-    num_workers: int = 1
     optimize: bool = True
     noise_amount: float = 0.1
     arrival: Optional[str] = None
@@ -188,12 +187,6 @@ class Scenario:
             f"got {self.channel!r}",
         )
         _check(
-            isinstance(self.num_workers, int)
-            and not isinstance(self.num_workers, bool)
-            and self.num_workers >= 1,
-            f"num_workers must be a positive int, got {self.num_workers!r}",
-        )
-        _check(
             0.0 <= float(self.noise_amount) <= 1.0,
             f"noise_amount must be in [0, 1], got {self.noise_amount!r}",
         )
@@ -230,7 +223,6 @@ class Scenario:
             split_index=self.split_index,
             wire=self.wire,
             channel=self.channel,
-            num_workers=self.num_workers,
             optimize=self.optimize,
             max_batch_size=max(self.batch_size, 1),
             seed=self.seed,
@@ -287,7 +279,6 @@ class Scenario:
             "split_index": self.split_index,
             "wire": self.wire,
             "channel": self.channel,
-            "num_workers": self.num_workers,
             "optimize": self.optimize,
             "noise_amount": self.noise_amount,
             "arrival": self.arrival,
@@ -333,6 +324,5 @@ class Scenario:
         return (
             f"{self.name}: {self.backbone} @{self.input_size}px [{self.tier}], "
             f"{self.batches}x{self.batch_size} images, split={cut}, "
-            f"wire={self.wire}, channel={self.channel}, "
-            f"workers={self.num_workers}"
+            f"wire={self.wire}, channel={self.channel}"
         )

@@ -15,7 +15,6 @@ dynamic micro-batching dispatcher coalesces into engine-sized batches::
         tasks=(("scale", 8), ("shape", 4)),
         split_index="auto",          # latency-optimal cut
         wire="quant8",               # 4x smaller Z_b payloads
-        num_workers=4,               # batch shards per stage
     )
     with repro.deploy(spec) as dep:
         futures = [dep.submit(image) for image in images]   # many clients

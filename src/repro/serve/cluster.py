@@ -58,6 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..nn.engine import pin_blas_threads
 from .batching import BatchingStats, DynamicBatcher, ShutdownError
 from .cache import ServeCache, provenance_digest
 from .faults import WorkerFaultPlan
@@ -297,7 +298,14 @@ class ClusterDeployment:
 
     def __init__(self, spec: ClusterSpec):
         self.spec = spec
-        self._payload = spec.deployment.to_dict()
+        # What every worker boots from; "replicas" tells it how many
+        # share the host (it serves as one and divides the cores by it).
+        self._payload = {**spec.deployment.to_dict(), "replicas": spec.replicas}
+        # A deployment decides BLAS threading at build (see Deployment);
+        # done here, before the fork, workers inherit the pinned pools —
+        # pinning inside a freshly forked process restarts the pools'
+        # threads, which spin on the replicas' cores while they boot.
+        pin_blas_threads()
         self.stats = ClusterStats()
         self.state_machine = ClusterStateMachine(spec.replicas)
 
@@ -641,7 +649,6 @@ class ClusterDeployment:
             transfer_seconds=ws["transfer_seconds"],
             server_seconds=ws["server_seconds"],
             pipelined_seconds=0.0,
-            num_workers=plan["num_workers"],
             arena_bytes=plan["arena_bytes"],
             steady_state_allocs=plan["steady_state_allocs"],
             fused_steps=plan["fused_steps"],

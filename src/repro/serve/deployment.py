@@ -19,10 +19,10 @@ The resulting object exposes the three serving surfaces:
   :class:`~concurrent.futures.Future` resolved by the dynamic
   micro-batching dispatcher, which coalesces concurrent submissions into
   engine-sized batches (new — this is what lets many small clients
-  exercise the batch-sharded multicore engine).
+  exercise the engine's batched plans).
 
 Deployments are context managers; :meth:`close` drains the batcher and
-reclaims the planned executors' worker threads.
+stops and joins the planned executors' fan-out threads.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from ..core.architecture import MTLSplitNet
 from ..data.base import TaskInfo
 from ..deployment.optimizer import optimal_split_index
 from ..models.registry import get_spec
+from ..nn.engine import fan_out_width, pin_blas_threads
 from .batching import BatchingStats, DynamicBatcher
 from .cache import ServeCache, provenance_digest
 from .faults import FaultStats
@@ -100,10 +101,20 @@ class Deployment:
     :meth:`stream` and :meth:`warmup` take the same internal pipeline
     lock the dispatcher uses, so synchronous and asynchronous traffic
     can coexist without interleaving inside the engine.
+
+    Building one decides BLAS threading for the process, once and
+    explicitly: every bundled OpenBLAS pool is pinned to one thread and
+    the cores go to the engine instead, whose per-image plans (hires
+    geometries only — ``docs/architecture.md``, "How a batch executes")
+    fan out over ``fan_out`` threads: the cores this process may use,
+    divided among the ``host_replicas`` deployments sharing the host
+    (default ``spec.replicas``; a cluster worker passes its cluster's).
     """
 
-    def __init__(self, spec: DeploymentSpec):
+    def __init__(self, spec: DeploymentSpec, host_replicas: Optional[int] = None):
         self.spec = spec
+        pin_blas_threads()
+        self.fan_out = fan_out_width(host_replicas or spec.replicas)
         self.net = _resolve_net(spec)
         self.net.eval()
         self.split_index: Optional[int] = _resolve_split_index(spec, self.net)
@@ -113,7 +124,6 @@ class Deployment:
             split_index=self.split_index,
             input_size=spec.input_size,
             wire_format=spec.wire_format(),
-            num_workers=spec.num_workers,
             optimize=spec.optimize,
             max_cached_plans=spec.max_cached_plans,
             faults=spec.faults,
@@ -121,6 +131,7 @@ class Deployment:
             max_retries=spec.max_retries,
             retry_backoff_s=spec.retry_backoff_ms / 1000.0,
             probe_every=spec.probe_every,
+            fan_out=self.fan_out,
         )
         self.cache: Optional[ServeCache] = self._build_cache()
         if self.cache is not None and self.cache.feature is not None:
@@ -197,14 +208,9 @@ class Deployment:
         """Whether the split channel is currently declared down."""
         return self.pipeline.degraded
 
-    @property
-    def execution_mode(self) -> str:
-        """How the halves execute, for banners and logs."""
-        return f"planned engine ({self.spec.num_workers} worker(s))"
-
     def describe(self) -> str:
         cut = self.split_index if self.split_index is not None else "backbone/heads"
-        return f"{self.spec.describe()} -> cut at {cut}, {self.execution_mode} halves"
+        return f"{self.spec.describe()} -> cut at {cut}"
 
     def provenance(self) -> Tuple[str, str]:
         """``(spec_digest, plan_digest)`` — this deployment's identity.
@@ -268,7 +274,10 @@ class Deployment:
 
         Serving traffic dispatched by the batcher arrives in sizes
         ``1..max_batch_size``; pre-planning the common ones keeps
-        first-request latency flat.
+        first-request latency flat.  At a per-image geometry a size-``b``
+        batch binds (and runs once, on its own thread) the plan of each
+        of the ``min(b, fan_out)`` lanes it uses, so warm up the largest
+        size traffic will bring.
         """
         self._require_open()
         channels = self.net.backbone.spec.input_channels
@@ -391,7 +400,7 @@ def deploy(spec: Optional[DeploymentSpec] = None, **overrides):
         dep = repro.deploy(model="mobilenet_v3_tiny",
                            tasks=(("scale", 8), ("shape", 4)))
         dep = repro.deploy(spec)                      # as declared
-        dep = repro.deploy(spec, num_workers=4)       # spec + override
+        dep = repro.deploy(spec, wire="quant8")       # spec + override
 
     Returns a :class:`Deployment` for ``replicas == 1`` (the default),
     or a fault-tolerant multi-process

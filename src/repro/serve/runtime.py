@@ -13,8 +13,9 @@ Both runtimes execute one way: the half is lowered by the fused inference
 compiler (:mod:`repro.nn.fuse` — batch-norm folded into conv weights,
 activations fused, no autograd graph) and run by the arena-planned
 execution engine (:mod:`repro.nn.engine`): a static per-batch-shape plan
-with preallocated buffers and sparse-lowered convolutions, optionally
-batch-sharded across ``num_workers`` threads.  A half the planner refuses
+with preallocated buffers and sparse-lowered convolutions — or, at hires
+geometries, per-image plans fanned out over the cores (the engine's
+geometry rule decides, see ``docs/architecture.md``).  A half the planner refuses
 (``Unplannable``) runs through the fused session instead — a fallback the
 executor takes on its own, not a mode a caller selects.
 
@@ -84,8 +85,8 @@ class _RuntimeBase:
     """Lifecycle + plan introspection shared by the two stage runtimes.
 
     A runtime's session is a :class:`~repro.nn.engine.PlannedExecutor`
-    whose worker pool keeps daemon threads alive; :meth:`close` releases
-    them.  Runtimes are context managers so deployments can scope the
+    whose fan-out pool keeps daemon threads alive once a hires batch
+    ran; :meth:`close` stops and joins them.  Runtimes are context managers so deployments can scope the
     resources: ``with EdgeRuntime(model) as edge: ...``.
     """
 
@@ -134,25 +135,26 @@ class EdgeRuntime(_RuntimeBase):
     """Runs the edge half and serialises ``Z_b`` for transmission.
 
     The half executes through a :class:`~repro.nn.engine.PlannedExecutor`
-    — a static, arena-backed execution plan per batch shape, optionally
-    batch-sharded across ``num_workers`` worker threads.  Executor-owned
-    outputs are safe here because every ``Z_b`` is serialised to bytes
-    before the next batch.
+    — a static, arena-backed execution plan per batch shape, or per-image
+    plans on up to ``fan_out`` threads where the engine's geometry rule
+    says so (``fan_out`` is the deployment's measured width, not a knob).
+    Executor-owned outputs are safe here because every ``Z_b`` is
+    serialised to bytes before the next batch.
     """
 
     def __init__(
         self,
         model: EdgeModel,
         wire_format: WireFormat = WireFormat(),
-        num_workers: int = 1,
         optimize: bool = True,
         max_cached_plans: int = 8,
+        fan_out: int = 1,
     ):
         self.model = model
         self.wire_format = wire_format
         self.model.eval()
         self.session = model.compile_for_inference(
-            plan=True, num_workers=num_workers, copy_outputs=False,
+            plan=True, fan_out=fan_out, copy_outputs=False,
             optimize=optimize, max_plans=max_cached_plans,
         )
 
@@ -183,7 +185,8 @@ class EdgeRuntime(_RuntimeBase):
         """
         try:
             ir = self.session.plan_ir(batch_shape)
-            return ir.values[ir.outputs[None]].row_shape
+            # plan_ir is the batch-1 program at per-image geometries.
+            return (batch_shape[0],) + ir.values[ir.outputs[None]].row_shape[1:]
         except Unplannable:
             z_b, _ = self.forward(np.zeros(batch_shape, dtype=np.float32))
             return tuple(z_b.shape)
@@ -208,15 +211,15 @@ class ServerRuntime(_RuntimeBase):
         self,
         model: ServerModel,
         task_names: Tuple[str, ...],
-        num_workers: int = 1,
         optimize: bool = True,
         max_cached_plans: int = 8,
+        fan_out: int = 1,
     ):
         self.model = model
         self.task_names = task_names
         self.model.eval()
         self.session = model.compile_for_inference(
-            plan=True, num_workers=num_workers, copy_outputs=True,
+            plan=True, fan_out=fan_out, copy_outputs=True,
             optimize=optimize, max_plans=max_cached_plans,
         )
 
@@ -260,8 +263,7 @@ class ThroughputReport:
     modelled, not slept, so it does not appear in the wall clock).
 
     The report also carries the plan engine's allocation accounting:
-    ``num_workers`` (batch shards per stage), ``arena_bytes``
-    (preallocated buffer arenas across both stages) and
+    ``arena_bytes`` (preallocated buffer arenas across both stages) and
     ``steady_state_allocs`` (per-batch allocations planning could not
     remove — zero for fully planned programs) — plus the
     optimizer accounting: ``fused_steps`` (bias/act/affine/residual
@@ -290,7 +292,6 @@ class ThroughputReport:
     transfer_seconds: float
     server_seconds: float
     pipelined_seconds: float
-    num_workers: int = 1
     arena_bytes: int = 0
     steady_state_allocs: int = 0
     fused_steps: int = 0
@@ -436,7 +437,7 @@ class ThroughputReport:
         disagree, and fields added later aggregate without edits here —
         a worker's counter can never be silently dropped on the way up.
         """
-        special = {"wall_seconds", "pipelined_seconds", "num_workers", "replicas"}
+        special = {"wall_seconds", "pipelined_seconds", "replicas"}
         merged_values = {}
         for spec in dataclasses.fields(cls):
             if spec.name in special:
@@ -455,7 +456,6 @@ class ThroughputReport:
         merged = cls(
             wall_seconds=wall_seconds,
             pipelined_seconds=wall_seconds,
-            num_workers=max((r.num_workers for r in per_replica), default=1),
             replicas=len(per_replica),
             **merged_values,
         )
@@ -556,7 +556,6 @@ class SplitPipeline:
         split_index: Optional[int] = None,
         input_size: int = 32,
         wire_format: WireFormat = WireFormat(),
-        num_workers: int = 1,
         optimize: bool = True,
         max_cached_plans: int = 8,
         faults: Optional[FaultPlan] = None,
@@ -564,14 +563,17 @@ class SplitPipeline:
         max_retries: int = 2,
         retry_backoff_s: float = 0.01,
         probe_every: int = 8,
+        fan_out: int = 1,
     ) -> "SplitPipeline":
         """Split ``net`` and wire the halves through a simulated channel.
 
         Both halves run through the arena-backed execution engine;
-        ``num_workers`` shards each stage's batch across that many worker
-        threads; ``optimize`` runs the plan-IR optimizer passes and
+        ``optimize`` runs the plan-IR optimizer passes and
         ``max_cached_plans`` bounds each stage's per-shape plan cache
-        (see :mod:`repro.nn.engine`).  ``faults`` attaches a
+        (see :mod:`repro.nn.engine`); ``fan_out`` is how many threads a
+        stage's per-image plans may use (a :class:`Deployment` passes
+        :func:`~repro.nn.engine.fan_out_width` after pinning BLAS; leave
+        it at 1 otherwise).  ``faults`` attaches a
         deterministic :class:`~repro.serve.faults.FaultPlan` to the wire;
         ``fallback``/``max_retries``/``retry_backoff_s``/``probe_every``
         configure the degradation state machine (class docstring).
@@ -579,13 +581,13 @@ class SplitPipeline:
         edge_model, server_model = net.split(split_index, input_size=input_size)
         return cls(
             EdgeRuntime(
-                edge_model, wire_format, num_workers=num_workers,
-                optimize=optimize, max_cached_plans=max_cached_plans,
+                edge_model, wire_format, optimize=optimize,
+                max_cached_plans=max_cached_plans, fan_out=fan_out,
             ),
             SimulatedLink(channel),
             ServerRuntime(
-                server_model, net.task_names, num_workers=num_workers,
-                optimize=optimize, max_cached_plans=max_cached_plans,
+                server_model, net.task_names, optimize=optimize,
+                max_cached_plans=max_cached_plans, fan_out=fan_out,
             ),
             faults=faults,
             fallback=fallback,

@@ -11,7 +11,7 @@ files::
     spec = DeploymentSpec(model="mobilenet_v3_tiny",
                           tasks=(("scale", 8), ("shape", 4)),
                           split_index="auto", wire="quant8",
-                          channel="lte_uplink", num_workers=4)
+                          channel="lte_uplink", max_batch_size=4)
     spec == DeploymentSpec.from_json(spec.to_json())   # True
 
 ``repro.deploy(spec)`` turns the description into a running
@@ -89,9 +89,6 @@ class DeploymentSpec:
         :func:`repro.deployment.device.available_devices`) or
         :class:`Device` objects; only consulted by the ``"auto"`` split
         optimizer.
-    num_workers:
-        Batch shards per stage: each half's plan engine splits a batch
-        across this many worker threads.
     optimize:
         Run the plan-IR optimizer passes (epilogue fusion, copy elision,
         kernel selection, blocked SpMM) on every execution plan.  On by
@@ -165,7 +162,6 @@ class DeploymentSpec:
     channel: Union[str, NetworkChannel] = "gigabit_ethernet"
     edge_device: Union[str, Device] = "jetson_nano"
     server_device: Union[str, Device] = "rtx3090_server"
-    num_workers: int = 1
     optimize: bool = True
     max_cached_plans: int = 8
     max_batch_size: int = 8
@@ -272,10 +268,6 @@ class DeploymentSpec:
                 )
 
         # -- engine / batching knobs -----------------------------------
-        _check(
-            isinstance(self.num_workers, int) and self.num_workers >= 1,
-            f"num_workers must be a positive int, got {self.num_workers!r}",
-        )
         _check(
             isinstance(self.max_cached_plans, int) and self.max_cached_plans >= 1,
             f"max_cached_plans must be a positive int, got {self.max_cached_plans!r}",
@@ -421,7 +413,6 @@ class DeploymentSpec:
             "channel": self._channel_to_jsonable(),
             "edge_device": self._device_to_jsonable(self.edge_device),
             "server_device": self._device_to_jsonable(self.server_device),
-            "num_workers": self.num_workers,
             "optimize": self.optimize,
             "max_cached_plans": self.max_cached_plans,
             "max_batch_size": self.max_batch_size,
@@ -514,7 +505,7 @@ class DeploymentSpec:
         cluster = f", replicas={self.replicas}" if self.replicas > 1 else ""
         return (
             f"{model} @{self.input_size}px, split={cut}, wire={self.wire}, "
-            f"channel={channel}, workers={self.num_workers}, "
+            f"channel={channel}, "
             f"batch<= {self.max_batch_size} within {self.max_queue_delay_ms:g} ms"
             f"{cluster}"
         )

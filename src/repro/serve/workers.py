@@ -79,17 +79,18 @@ def _worker_main(conn, spec_payload: Dict[str, Any]) -> None:
 
     Builds a single-process deployment from the serialised spec (with
     ``replicas`` forced to 1 — a worker must never recurse into a
-    cluster) and serves the pipe protocol until told to stop or the
+    cluster; the payload's count only sizes this worker's share of the
+    host's cores) and serves the pipe protocol until told to stop or the
     parent disappears.
     """
     # Deliberately late imports: under the spawn start method this
     # function is the first thing the fresh interpreter runs.
-    from .deployment import deploy
+    from .deployment import Deployment
     from .spec import DeploymentSpec
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent drives shutdown
     spec = DeploymentSpec.from_dict({**spec_payload, "replicas": 1})
-    with deploy(spec) as deployment:
+    with Deployment(spec, host_replicas=spec_payload["replicas"]) as deployment:
         while True:
             try:
                 message = conn.recv()

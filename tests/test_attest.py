@@ -170,24 +170,33 @@ def test_plan_ir_text_matches_plan_digest_material(quick_attestation):
     "name", ["mobilenetv3_hires_224px", "efficientnet_hires_224px", "vgg_hires_224px"]
 )
 def test_executed_plan_text_is_the_attested_plan_text(name):
-    """What is attested is what runs: the IR a hires deployment *bound*
-    renders byte for byte like the arena-free ``plan_ir`` the digests
-    hash, and planning the same shape again gives the same text."""
+    """What is attested is what runs: the IR *every part* of a hires
+    batch bound — one per-image plan per fan-out lane on the edge, the
+    batch-last plan on the server — renders byte for byte like the
+    arena-free ``plan_ir`` the digests hash, and planning the same shape
+    again gives the same text."""
     from repro.nn.engine import ExecutionPlan
     from repro.serve import deploy
 
     scenario = get_scenario(name)
     with deploy(scenario.deployment_spec()) as deployment:
+        deployment.pipeline.edge.session.fan_out = 2  # two lanes on any host
         deployment.warmup([scenario.batch_size])
         for half in (deployment.pipeline.edge, deployment.pipeline.server):
             executor = half.session
             assert executor._prepared, "warmup bound no plan"
             for shape, prepared in executor._prepared.items():
-                ((_, plan),) = prepared.parts
-                text = plan.ir.describe()
-                assert text == executor.plan_ir(shape).describe()
-                assert text == ExecutionPlan(executor.session, shape).ir.describe()
-        edge = deployment.pipeline.edge.session.stats
+                attested = executor.plan_ir(shape).describe()
+                for _, plan in prepared.parts:
+                    assert plan.ir.describe() == attested
+                    again = ExecutionPlan(executor.session, plan.batch_shape)
+                    assert again.ir.describe() == attested
+        edge_executor = deployment.pipeline.edge.session
+        (edge_batch,) = edge_executor._prepared.values()
+        assert len(edge_batch.parts) == scenario.batch_size
+        assert len({id(plan) for _, plan in edge_batch.parts}) == 2
+        assert edge_executor.plan_ir((1, 3, 224, 224)).describe() in deployment.plan_text()
+        edge = edge_executor.stats
     if "vgg" not in name:
         assert edge.depthwise_rows_ops > 0
 

@@ -84,18 +84,15 @@ class TestPipeline:
         assert "critical path" in out
         assert "arena preallocated" in out
 
-    def test_num_workers_sharded_run(self, capsys):
-        assert main(["pipeline", "--backbone", "mobilenet_v3_tiny",
-                     "--batches", "2", "--batch-size", "8", "--epochs", "0",
-                     "--num-workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "planned engine (2 worker(s))" in out
-        assert "2 worker(s)" in out
+    def test_removed_num_workers_flag_is_rejected(self, capsys):
+        for command in ("pipeline", "serve"):
+            with pytest.raises(SystemExit):
+                main([command, "--num-workers", "2"])
+        assert "unrecognized arguments: --num-workers" in capsys.readouterr().err
 
     def test_rejects_degenerate_arguments(self, capsys):
         assert main(["pipeline", "--batches", "0"]) == 2
         assert main(["pipeline", "--bandwidth-mbps", "0"]) == 2
-        assert main(["pipeline", "--num-workers", "0"]) == 2
 
     def test_wire_flag(self, capsys):
         assert main(["pipeline", "--batches", "2", "--batch-size", "4",
@@ -103,6 +100,22 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "wire=float16" in out
         assert "batches/s" in out
+
+
+class TestPlanDescribe:
+    def test_batch_last_geometry_prints_the_batch_plan(self, capsys):
+        assert main(["plan", "describe", "--batch-size", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "ExecutionPlan(batch=(4, 3, 32, 32)" in out
+        assert "executes as" not in out
+
+    def test_hires_geometry_prints_how_the_batch_executes(self, capsys):
+        assert main(["plan", "describe", "--input-size", "224",
+                     "--batch-size", "2"]) == 0
+        edge, server = capsys.readouterr().out.split("# server half")
+        assert "executes as 2 x batch-1 plan on " in edge
+        assert "ExecutionPlan(batch=(1, 3, 224, 224)" in edge
+        assert "executes as" not in server and "ExecutionPlan(batch=(2, " in server
 
 
 class TestTrain:

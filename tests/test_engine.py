@@ -1,9 +1,10 @@
 """Property tests for the arena-planned execution engine (repro.nn.engine).
 
-The engine's contract: a planned (and optionally batch-sharded) executor
-produces the same outputs as the unplanned compiled session within 1e-6,
-for every backbone, split index, batch size and worker count — while
-performing zero large allocations per steady-state batch.
+The engine's contract: a planned executor produces the same outputs as
+the unplanned compiled session within 1e-6, for every backbone, split
+index and batch size — while performing zero large allocations per
+steady-state batch.  (How a batch executes — batch-last plan or per-image
+fan-out — is tests/test_engine_fanout.py.)
 """
 
 import numpy as np
@@ -46,8 +47,7 @@ def _assert_outputs_match(lhs, rhs, atol=_ATOL):
 class TestPlannedMatchesUnplanned:
     """The acceptance property: planned ≡ unplanned compiled within 1e-6."""
 
-    @pytest.mark.parametrize("num_workers", [1, 2, 3])
-    def test_edge_and_server_halves(self, split_net, images, num_workers):
+    def test_edge_and_server_halves(self, split_net, images):
         n_stages = len(list(split_net.backbone.stages))
         for split_index in (1, max(1, n_stages // 2), n_stages):
             edge, server = split_net.split(split_index, input_size=32)
@@ -57,40 +57,37 @@ class TestPlannedMatchesUnplanned:
             z_ref = edge_session.run(x)
             out_ref = server_session.run(z_ref)
 
-            edge_planned = engine.PlannedExecutor(edge_session, num_workers=num_workers)
-            server_planned = engine.PlannedExecutor(
-                server_session, num_workers=num_workers
-            )
+            edge_planned = engine.PlannedExecutor(edge_session)
+            server_planned = engine.PlannedExecutor(server_session)
             _assert_outputs_match(edge_planned.run(x), z_ref)
             _assert_outputs_match(server_planned.run(z_ref), out_ref)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 5, 16])
     def test_batch_sizes(self, split_net, images, batch_size):
         session = split_net.compile_for_inference()
-        executor = engine.PlannedExecutor(session, num_workers=2)
+        executor = engine.PlannedExecutor(session)
         x = images[:batch_size]
         _assert_outputs_match(executor.run(x), session.run(x))
 
     @settings(max_examples=12, deadline=None)
     @given(
         batch=st.integers(1, 12),
-        workers=st.integers(1, 4),
         split_fraction=st.floats(0.1, 1.0),
     )
-    def test_property_random_batch_worker_split(self, batch, workers, split_fraction):
+    def test_property_random_batch_split(self, batch, split_fraction):
         # Module-scoped fixtures don't mix with hypothesis; build once here.
         net = _PROPERTY_NET
         n_stages = len(list(net.backbone.stages))
         split_index = max(1, min(n_stages, round(split_fraction * n_stages)))
         edge, _ = net.split(split_index, input_size=32)
         session = edge.compile_for_inference()
-        executor = engine.PlannedExecutor(session, num_workers=workers)
+        executor = engine.PlannedExecutor(session)
         x = _PROPERTY_IMAGES[:batch]
         np.testing.assert_allclose(executor.run(x), session.run(x), atol=_ATOL)
 
     def test_same_executor_handles_shape_changes(self, split_net, images):
         session = split_net.compile_for_inference()
-        executor = engine.PlannedExecutor(session, num_workers=2)
+        executor = engine.PlannedExecutor(session)
         for batch in (4, 7, 4, 1):
             x = images[:batch]
             _assert_outputs_match(executor.run(x), session.run(x))
@@ -161,10 +158,10 @@ class TestArena:
 class TestLoweringCoverage:
     """Planner coverage for op types the backbones do not all exercise."""
 
-    def _roundtrip(self, module, x, num_workers=1, atol=_ATOL):
+    def _roundtrip(self, module, x, atol=_ATOL):
         module.eval()
         session = module.compile_for_inference()
-        executor = engine.PlannedExecutor(session, num_workers=num_workers)
+        executor = engine.PlannedExecutor(session)
         np.testing.assert_allclose(executor.run(x), session.run(x), atol=atol)
         return executor
 
@@ -175,7 +172,7 @@ class TestLoweringCoverage:
             nn.ReLU(),
         )
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
-        executor = self._roundtrip(module, x, num_workers=2)
+        executor = self._roundtrip(module, x)
         assert executor.stats.fallback_ops > 0
         assert executor.stats.steady_state_allocs > 0
 
@@ -224,19 +221,6 @@ class TestLoweringCoverage:
 
 
 class TestPlannedExecutor:
-    def test_worker_errors_propagate(self, rng):
-        session = nn.Linear(4, 2, rng=rng).compile_for_inference()
-        executor = engine.PlannedExecutor(session, num_workers=2)
-
-        class Boom(RuntimeError):
-            pass
-
-        def explode():
-            raise Boom("worker failure")
-
-        with pytest.raises(Boom):
-            executor._pool.run_all([explode, explode])
-
     def test_copy_outputs_isolates_results(self, split_net, images):
         session = split_net.compile_for_inference()
         executor = engine.PlannedExecutor(session, copy_outputs=True)
@@ -262,53 +246,31 @@ class TestPlannedExecutor:
             executor.run(images[:batch])
         assert len(executor._prepared) <= 2
 
-    def test_more_workers_than_samples(self, split_net, images):
-        session = split_net.compile_for_inference()
-        executor = engine.PlannedExecutor(session, num_workers=8)
-        _assert_outputs_match(executor.run(images[:2]), session.run(images[:2]))
-
-    def test_invalid_worker_count_rejected(self, rng):
-        session = nn.Linear(3, 2, rng=rng).compile_for_inference()
-        with pytest.raises(ValueError):
-            engine.PlannedExecutor(session, num_workers=0)
-
-    def test_close_stops_workers_and_run_recovers(self, split_net, images):
-        session = split_net.compile_for_inference()
-        executor = engine.PlannedExecutor(session, num_workers=2)
-        reference = session.run(images[:6])
-        _assert_outputs_match(executor.run(images[:6]), reference)
-        threads = executor._pool._threads
-        executor.close()
-        assert all(not thread.is_alive() for thread in threads)
-        executor.close()  # idempotent
-        _assert_outputs_match(executor.run(images[:6]), reference)  # rebuilds
-
     def test_compile_for_inference_plan_flag(self, split_net, images):
         executor = split_net.compile_for_inference(
-            sample_input=images[:4], plan=True, num_workers=2
+            sample_input=images[:4], plan=True, fan_out=2
         )
         assert isinstance(executor, engine.PlannedExecutor)
         assert executor.num_ops == split_net.compile_for_inference().num_ops
         assert "PlannedExecutor" in executor.describe()
 
-    def test_stats_aggregate_over_worker_plans(self, split_net, images):
+    def test_stats_aggregate_over_plans(self, split_net, images):
         edge, _ = split_net.split(None, input_size=32)
-        executor = engine.PlannedExecutor(edge.compile_for_inference(), num_workers=2)
+        executor = engine.PlannedExecutor(edge.compile_for_inference())
         executor.run(images[:8])
+        executor.run(images[:3])
         stats = executor.stats
         assert stats.num_plans == 2
-        assert stats.num_workers == 2
         assert 0.0 <= stats.reuse_ratio < 1.0
 
 
 class TestRuntimeIntegration:
     def test_runtime_reports_plan_accounting(self, split_net, images):
         pipeline = SplitPipeline.from_net(
-            split_net, GIGABIT_ETHERNET, input_size=32, num_workers=2
+            split_net, GIGABIT_ETHERNET, input_size=32
         )
         batches = [images[:4], images[4:8]]
         _, report = pipeline.infer_stream(batches)
-        assert report.num_workers == 2
         assert report.arena_bytes > 0
         assert report.steady_state_allocs == 0
         assert pipeline.edge.planned and pipeline.server.planned

@@ -125,16 +125,16 @@ class TestTemplateIsSharedAndImmutable:
         if optimize and plan.stats.sparse_ops:  # VGG has no CSR step to block
             assert plan.stats.spmm_row_blocks > 0
 
-    def test_worker_shards_share_one_template(self, halves, trace_calls):
+    def test_fan_out_lanes_share_one_template(self, halves, trace_calls):
         session, image_shape = halves[1]["edge"]
-        with PlannedExecutor(session, num_workers=2) as executor:
+        # l2_bytes=1 forces the per-image regime at this small geometry.
+        with PlannedExecutor(session, fan_out=2, l2_bytes=1) as executor:
             x = np.random.default_rng(2).standard_normal((8,) + image_shape)
             np.testing.assert_allclose(
                 executor.run(x), session.run(x.astype(np.float32)), atol=1e-6
             )
-            (prepared,) = executor._prepared.values()
-            (first, second) = (plan for _, plan in prepared.parts)
-            assert len(executor._templates) == 1
+            (template,) = executor._templates.values()
+            (first, second) = template.lanes
         traced = [op for op, n in trace_calls if n == plan_ir.TRACE_BATCH]
         assert len(traced) == len(set(traced))
         for a, b in zip(first.ir.steps, second.ir.steps):

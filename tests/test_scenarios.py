@@ -47,7 +47,6 @@ _scenarios = st.builds(
     split_index=st.one_of(st.none(), st.just("auto"), st.integers(1, 6)),
     wire=st.sampled_from(("float32", "float16", "quant8")),
     channel=st.sampled_from(_CHANNEL_NAMES),
-    num_workers=st.integers(1, 8),
     optimize=st.booleans(),
     noise_amount=st.floats(0.0, 1.0, allow_nan=False),
     seed=st.integers(0, 2**31 - 1),
@@ -151,7 +150,9 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unknown Scenario keys"):
             Scenario.from_dict(data)
 
-    @pytest.mark.parametrize("removed", ["compiled", "planned", "compute"])
+    @pytest.mark.parametrize(
+        "removed", ["compiled", "planned", "compute", "num_workers"]
+    )
     def test_removed_execution_knobs_rejected(self, removed):
         data = get_scenario("vgg_quick_32px").to_dict()
         data[removed] = True
@@ -162,7 +163,7 @@ class TestValidation:
         # A new knob is a deliberate edit here (see tests/test_serve_spec.py).
         assert {f.name for f in dataclasses.fields(Scenario)} == {
             "name", "backbone", "tasks", "tier", "input_size", "batch_size",
-            "batches", "split_index", "wire", "channel", "num_workers",
+            "batches", "split_index", "wire", "channel",
             "optimize", "noise_amount", "arrival", "seed", "description",
         }
 
@@ -174,13 +175,7 @@ class TestValidation:
 
     def test_scenario_error_is_value_error(self):
         with pytest.raises(ValueError):
-            Scenario(name="x", backbone="vgg_tiny", num_workers=0)
-
-    def test_bool_num_workers_rejected(self):
-        # isinstance(True, int) holds, but "num_workers": true in the
-        # JSON form would break non-python consumers of the spec.
-        with pytest.raises(ScenarioError, match="num_workers"):
-            Scenario(name="x", backbone="vgg_tiny", num_workers=True)
+            Scenario(name="x", backbone="vgg_tiny", batches=0)
 
 
 class TestRegistry:

@@ -160,15 +160,11 @@ class TestDynamicBatcher:
 # ---------------------------------------------------------------------------
 # End-to-end concurrency correctness through a real deployment
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "num_workers,max_batch_size",
-    [(1, 1), (1, 4), (2, 8)],
-)
-def test_concurrent_submit_matches_sequential_infer(num_workers, max_batch_size):
+@pytest.mark.parametrize("max_batch_size", [1, 4, 8])
+def test_concurrent_submit_matches_sequential_infer(max_batch_size):
     spec = DeploymentSpec(
         model="mobilenet_v3_tiny",
         tasks=(("scale", 8), ("shape", 4)),
-        num_workers=num_workers,
         max_batch_size=max_batch_size,
         max_queue_delay_ms=5.0,
         seed=11,

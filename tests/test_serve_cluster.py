@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn.engine import blas_threads
 from repro.serve import (
     ClusterDeployment,
     ClusterSpec,
@@ -251,6 +252,12 @@ class TestClusterServing:
             assert cluster.task_names == ("scale", "shape")
             assert "2 replica(s)" in cluster.describe()
             assert cluster.queue_depth == 0
+            # Workers boot as single deployments but learn how many share
+            # the host (their fan-out width is cores // replicas), and are
+            # forked from a parent whose BLAS pools are already pinned.
+            assert cluster.spec.deployment.replicas == 1
+            assert cluster._payload["replicas"] == 2
+            assert blas_threads() in (1, None)
 
 
 # ---------------------------------------------------------------------------

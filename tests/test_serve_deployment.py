@@ -118,32 +118,19 @@ class TestCapabilityParity:
 class TestLifecycle:
     """The resource-leak satellite: pools and dispatcher threads reclaimed."""
 
-    def test_worker_threads_reclaimed_on_close(self, tiny_trained_net):
+    def test_threads_reclaimed_on_close(self, tiny_trained_net):
         before = _engine_threads()
-        deployment = deploy(DeploymentSpec(model=tiny_trained_net, num_workers=3))
-        spawned = _engine_threads() - before
-        # Two stages (edge + server), each with a pool of num_workers - 1
-        # helper threads (the caller is worker zero).
-        assert len(spawned) == 4, f"expected 4 engine threads, saw {len(spawned)}"
+        deployment = deploy(DeploymentSpec(model=tiny_trained_net))
         images = np.zeros((6, 3, 32, 32), dtype=np.float32)
         deployment.infer(images)
+        # 32px is below the engine's per-image rule: one batch-last plan,
+        # no fan-out thread (the hires side: tests/test_engine_fanout.py).
+        assert _engine_threads() == before
         deployment.submit(images[0]).result(timeout=60)
         assert _batcher_threads()
         deployment.close()
         assert not (_engine_threads() - before), "engine threads leaked past close()"
         assert not _batcher_threads(), "batcher dispatcher leaked past close()"
-
-    def test_pipeline_context_reclaims_threads(self, tiny_trained_net):
-        from repro.deployment import GIGABIT_ETHERNET
-        from repro.serve import SplitPipeline
-
-        before = _engine_threads()
-        with SplitPipeline.from_net(
-            tiny_trained_net, GIGABIT_ETHERNET, input_size=32, num_workers=3
-        ) as pipeline:
-            assert _engine_threads() - before
-            pipeline.infer(np.zeros((6, 3, 32, 32), dtype=np.float32))
-        assert not (_engine_threads() - before), "pipeline leaked engine threads"
 
     def test_closed_deployment_rejects_work(self, tiny_trained_net):
         deployment = deploy(DeploymentSpec(model=tiny_trained_net))

@@ -55,7 +55,6 @@ _specs = st.builds(
     channel=_channels,
     edge_device=_devices,
     server_device=_devices,
-    num_workers=st.integers(1, 8),
     max_batch_size=st.integers(1, 32),
     max_queue_delay_ms=st.floats(0.0, 50.0, allow_nan=False),
     seed=st.integers(0, 2**31 - 1),
@@ -97,9 +96,9 @@ class TestRoundTrip:
 
     def test_replace_revalidates(self):
         spec = DeploymentSpec(model="vgg_tiny", tasks=(("a", 2),))
-        assert spec.replace(num_workers=3).num_workers == 3
-        with pytest.raises(SpecError, match="num_workers"):
-            spec.replace(num_workers=0)
+        assert spec.replace(max_batch_size=3).max_batch_size == 3
+        with pytest.raises(SpecError, match="max_batch_size"):
+            spec.replace(max_batch_size=0)
 
 
 class TestValidation:
@@ -123,10 +122,6 @@ class TestValidation:
     def test_bad_split_index(self, bad):
         with pytest.raises(SpecError, match="split_index"):
             DeploymentSpec(model="vgg_tiny", tasks=(("a", 2),), split_index=bad)
-
-    def test_non_positive_workers(self):
-        with pytest.raises(SpecError, match="num_workers must be a positive int"):
-            DeploymentSpec(model="vgg_tiny", tasks=(("a", 2),), num_workers=0)
 
     def test_bad_wire(self):
         with pytest.raises(SpecError, match="unknown wire dtype"):
@@ -161,9 +156,12 @@ class TestValidation:
         with pytest.raises(SpecError, match="unknown DeploymentSpec keys"):
             DeploymentSpec.from_dict(data)
 
-    @pytest.mark.parametrize("removed", ["compiled", "planned", "compute"])
+    @pytest.mark.parametrize(
+        "removed", ["compiled", "planned", "compute", "num_workers"]
+    )
     def test_from_dict_rejects_the_removed_execution_knobs(self, removed):
-        # PR 15 removed the knobs that selected an execution path; an old
+        # PRs 15 and 16 removed the knobs that selected an execution path
+        # (how a batch executes is the engine's geometry rule now); an old
         # config that still carries one must fail loudly, naming the key.
         data = {"model": "mobilenet_v3_tiny", "tasks": [["a", 2]], removed: True}
         with pytest.raises(SpecError, match=rf"unknown DeploymentSpec keys \['{removed}'\]"):
@@ -174,7 +172,7 @@ class TestValidation:
         # adding one is a deliberate edit here, not a drive-by.
         assert {f.name for f in dataclasses.fields(DeploymentSpec)} == {
             "model", "tasks", "input_size", "split_index", "wire", "channel",
-            "edge_device", "server_device", "num_workers", "optimize",
+            "edge_device", "server_device", "optimize",
             "max_cached_plans", "max_batch_size", "max_queue_delay_ms",
             "max_queue_depth", "deadline_ms", "faults", "fallback",
             "max_retries", "retry_backoff_ms", "probe_every", "cache",
@@ -189,7 +187,7 @@ class TestValidation:
 
     def test_spec_error_is_value_error(self):
         with pytest.raises(ValueError):
-            DeploymentSpec(model="vgg_tiny", tasks=(("a", 2),), num_workers=-1)
+            DeploymentSpec(model="vgg_tiny", tasks=(("a", 2),), max_batch_size=-1)
 
     def test_channel_dict_is_adopted(self):
         spec = DeploymentSpec(
